@@ -1,23 +1,17 @@
 /**
  * @file
- * Replay-engine throughput: legacy per-event CacheSimulator vs the
- * compiled-log batched engine, on the standard §6.1 sweep grid.
+ * Replay throughput of the batched compiled-log engine on the
+ * standard §6.1 sweep grid, serial and threaded.
  *
  * For each benchmark the workload is generated once and the memoized
  * unbounded/unified baselines are primed before any timing, so the
  * measured interval is pure generational-cell replay. The one-time
  * CompiledLog build is timed separately and reported alongside.
  *
- * Three engines are timed on the same grid: the legacy per-event
- * CacheSimulator, the batched engine pinned to its per-event
- * reference kernel (the PR-3 loop), and the batched engine's blocked
- * (chunk x lane-block, table-priced) kernel.
- *
- * Emits BENCH_replay.json: per-benchmark and total wall times,
- * replayed-events/sec, the single-threaded legacy-vs-blocked speedup,
- * and the single-threaded blocked-vs-reference speedup — the
- * acceptance number (>= 2x) — plus the same comparison at the default
- * thread count (GENCACHE_THREADS / hardware concurrency).
+ * Emits BENCH_replay.json: per-benchmark and total wall times and
+ * lane-events/sec of the serial and the threaded (GENCACHE_THREADS /
+ * hardware concurrency) sweep, the threaded speedup, and whether both
+ * sweeps produced identical cells. Exits 1 when they did not.
  */
 
 #include <cstdio>
@@ -72,8 +66,8 @@ main()
 {
     std::size_t threads = ThreadPool::defaultThreadCount();
     bench::banner(
-        format("Replay throughput: legacy vs compiled+batched on the "
-               "standard sweep (serial and {} threads)", threads));
+        format("Replay throughput: batched compiled-log sweep, serial "
+               "and {} threads", threads));
 
     std::vector<sim::SweepPoint> points = sim::defaultSweepPoints();
     std::vector<std::uint32_t> thresholds =
@@ -81,11 +75,8 @@ main()
     const std::size_t cells = points.size() * thresholds.size();
 
     bench::JsonArray benchmarks;
-    double total_legacy_serial = 0.0;
-    double total_reference_serial = 0.0;
-    double total_compiled_serial = 0.0;
-    double total_legacy_threaded = 0.0;
-    double total_compiled_threaded = 0.0;
+    double total_serial = 0.0;
+    double total_threaded = 0.0;
     double total_compile_sec = 0.0;
     std::uint64_t total_events = 0;
     bool all_identical = true;
@@ -96,128 +87,65 @@ main()
         sim::ExperimentRunner runner(profile);
         const std::uint64_t events = runner.log().size();
 
-        // Prime the memoized baselines (and thereby the capacity)
-        // so both engines time pure generational-cell replay.
-        sim::SweepResult warm =
-            sim::runSweep(runner, points, {thresholds.front()}, 1,
-                          sim::ReplayEngine::Legacy);
-
         bench::WallTimer compile_timer;
         runner.compiled();
         double compile_sec = compile_timer.seconds();
 
+        // Prime the memoized baselines (and thereby the capacity) so
+        // both sweeps time pure generational-cell replay.
+        sim::SweepResult warm =
+            sim::runSweep(runner, points, {thresholds.front()}, 1);
+
         bench::WallTimer timer;
-        sim::SweepResult legacy_serial = sim::runSweep(
-            runner, points, thresholds, 1, sim::ReplayEngine::Legacy);
-        double legacy_serial_sec = timer.seconds();
+        sim::SweepResult serial =
+            sim::runSweep(runner, points, thresholds, 1);
+        double serial_sec = timer.seconds();
 
         timer.reset();
-        sim::SweepResult reference_serial =
-            sim::runSweep(runner, points, thresholds, 1,
-                          sim::ReplayEngine::BatchedReference);
-        double reference_serial_sec = timer.seconds();
+        sim::SweepResult threaded =
+            sim::runSweep(runner, points, thresholds, threads);
+        double threaded_sec = timer.seconds();
 
-        timer.reset();
-        sim::SweepResult compiled_serial =
-            sim::runSweep(runner, points, thresholds, 1,
-                          sim::ReplayEngine::BatchedCompiled);
-        double compiled_serial_sec = timer.seconds();
-
-        timer.reset();
-        sim::SweepResult legacy_threaded =
-            sim::runSweep(runner, points, thresholds, threads,
-                          sim::ReplayEngine::Legacy);
-        double legacy_threaded_sec = timer.seconds();
-
-        timer.reset();
-        sim::SweepResult compiled_threaded =
-            sim::runSweep(runner, points, thresholds, threads,
-                          sim::ReplayEngine::BatchedCompiled);
-        double compiled_threaded_sec = timer.seconds();
-
-        bool identical =
-            cellsIdentical(legacy_serial, compiled_serial) &&
-            cellsIdentical(legacy_serial, reference_serial) &&
-            cellsIdentical(legacy_serial, legacy_threaded) &&
-            cellsIdentical(legacy_serial, compiled_threaded) &&
-            warm.capacityBytes == legacy_serial.capacityBytes;
+        bool identical = cellsIdentical(serial, threaded) &&
+                         warm.capacityBytes == serial.capacityBytes;
         all_identical = all_identical && identical;
 
-        double serial_speedup =
-            compiled_serial_sec > 0.0
-                ? legacy_serial_sec / compiled_serial_sec
-                : 0.0;
-        double blocked_speedup =
-            compiled_serial_sec > 0.0
-                ? reference_serial_sec / compiled_serial_sec
-                : 0.0;
-        double threaded_speedup =
-            compiled_threaded_sec > 0.0
-                ? legacy_threaded_sec / compiled_threaded_sec
-                : 0.0;
+        double speedup =
+            threaded_sec > 0.0 ? serial_sec / threaded_sec : 0.0;
 
-        total_legacy_serial += legacy_serial_sec;
-        total_reference_serial += reference_serial_sec;
-        total_compiled_serial += compiled_serial_sec;
-        total_legacy_threaded += legacy_threaded_sec;
-        total_compiled_threaded += compiled_threaded_sec;
+        total_serial += serial_sec;
+        total_threaded += threaded_sec;
         total_compile_sec += compile_sec;
         total_events += events;
 
-        std::printf("%-10s %9llu events  serial legacy %.3fs ref "
-                    "%.3fs blocked %.3fs (%.2fx vs legacy, %.2fx vs "
-                    "ref)  %zu-thread %.3fs -> %.3fs (%.2fx)  "
-                    "compile %.3fs  cells %s\n",
-                    name,
-                    static_cast<unsigned long long>(events),
-                    legacy_serial_sec, reference_serial_sec,
-                    compiled_serial_sec, serial_speedup,
-                    blocked_speedup, threads, legacy_threaded_sec,
-                    compiled_threaded_sec, threaded_speedup,
-                    compile_sec,
-                    identical ? "identical" : "MISMATCH");
+        std::printf("%-10s %9llu events  serial %.3fs  %zu-thread "
+                    "%.3fs (%.2fx)  compile %.3fs  cells %s\n",
+                    name, static_cast<unsigned long long>(events),
+                    serial_sec, threads, threaded_sec, speedup,
+                    compile_sec, identical ? "identical" : "MISMATCH");
 
         bench::JsonObject entry;
         entry.put("name", name)
             .put("events", events)
             .put("cells", static_cast<std::uint64_t>(cells))
             .put("compile_sec", compile_sec)
-            .put("legacy_serial_sec", legacy_serial_sec)
-            .put("reference_serial_sec", reference_serial_sec)
-            .put("compiled_serial_sec", compiled_serial_sec)
-            .put("serial_speedup", serial_speedup)
-            .put("blocked_vs_reference_speedup", blocked_speedup)
-            .put("legacy_events_per_sec",
-                 eventsPerSec(events, cells, legacy_serial_sec))
-            .put("compiled_events_per_sec",
-                 eventsPerSec(events, cells, compiled_serial_sec))
-            .put("legacy_threaded_sec", legacy_threaded_sec)
-            .put("compiled_threaded_sec", compiled_threaded_sec)
-            .put("threaded_speedup", threaded_speedup)
+            .put("serial_sec", serial_sec)
+            .put("serial_events_per_sec",
+                 eventsPerSec(events, cells, serial_sec))
+            .put("threaded_sec", threaded_sec)
+            .put("threaded_events_per_sec",
+                 eventsPerSec(events, cells, threaded_sec))
+            .put("threaded_speedup", speedup)
             .put("cells_identical", identical);
         benchmarks.push(entry);
     }
 
-    double serial_speedup =
-        total_compiled_serial > 0.0
-            ? total_legacy_serial / total_compiled_serial
-            : 0.0;
-    double blocked_speedup =
-        total_compiled_serial > 0.0
-            ? total_reference_serial / total_compiled_serial
-            : 0.0;
-    double threaded_speedup =
-        total_compiled_threaded > 0.0
-            ? total_legacy_threaded / total_compiled_threaded
-            : 0.0;
+    double speedup =
+        total_threaded > 0.0 ? total_serial / total_threaded : 0.0;
 
-    std::printf("\ntotal: serial legacy %.2fs ref %.2fs blocked "
-                "%.2fs (%.2fx vs legacy, %.2fx vs ref), %zu-thread "
-                "%.2fs -> %.2fs (%.2fx), compile %.2fs, cells %s\n",
-                total_legacy_serial, total_reference_serial,
-                total_compiled_serial, serial_speedup,
-                blocked_speedup, threads, total_legacy_threaded,
-                total_compiled_threaded, threaded_speedup,
+    std::printf("\ntotal: serial %.2fs, %zu-thread %.2fs (%.2fx), "
+                "compile %.2fs, cells %s\n",
+                total_serial, threads, total_threaded, speedup,
                 total_compile_sec,
                 all_identical ? "identical" : "MISMATCH");
 
@@ -229,14 +157,13 @@ main()
         .putRaw("benchmarks", benchmarks.toString())
         .put("total_events", total_events)
         .put("total_compile_sec", total_compile_sec)
-        .put("legacy_serial_sec", total_legacy_serial)
-        .put("reference_serial_sec", total_reference_serial)
-        .put("compiled_serial_sec", total_compiled_serial)
-        .put("serial_speedup", serial_speedup)
-        .put("blocked_vs_reference_speedup", blocked_speedup)
-        .put("legacy_threaded_sec", total_legacy_threaded)
-        .put("compiled_threaded_sec", total_compiled_threaded)
-        .put("threaded_speedup", threaded_speedup)
+        .put("serial_sec", total_serial)
+        .put("serial_events_per_sec",
+             eventsPerSec(total_events, cells, total_serial))
+        .put("threaded_sec", total_threaded)
+        .put("threaded_events_per_sec",
+             eventsPerSec(total_events, cells, total_threaded))
+        .put("threaded_speedup", speedup)
         .put("all_cells_identical", all_identical);
     bench::writeJsonArtifact("BENCH_replay.json", artifact);
 

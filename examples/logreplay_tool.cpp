@@ -15,21 +15,23 @@
  *                    to .gclogb paths (default v2; text paths and
  *                    loading are unaffected — the reader negotiates
  *                    the version from the file's magic).
- *   --compiled       replay through the compiled columnar log and
- *                    the simulator's batched fast path instead of
- *                    the legacy per-event loop. Results are
- *                    bit-identical; only the speed differs.
+ *
+ * replay compiles the log and streams it through a single-lane
+ * sim::BatchedReplay. A non-numeric or non-positive capacityKb, or a
+ * non-numeric live seed, prints the usage and exits 2 before any log
+ * is read or written.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "codecache/unified_cache.h"
 #include "guest/synthetic_program.h"
 #include "runtime/runtime.h"
-#include "sim/simulator.h"
+#include "sim/batched_replay.h"
 #include "support/format.h"
 #include "tracelog/compiled_log.h"
 #include "tracelog/lifetime.h"
@@ -53,9 +55,29 @@ usage()
                  "options:\n"
                  "  --format v1|v2  binary version for generate/live"
                  " (default v2)\n"
-                 "  --compiled      replay via the compiled columnar"
-                 " fast path\n");
+                 "capacityKb must be a positive number; seed a"
+                 " non-negative integer\n");
     return 2;
+}
+
+/** Parse all of @p text into @p value; false on any leftover. */
+template <typename T>
+bool
+parseWhole(const std::string &text, T &value)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    return ec == std::errc() && ptr == end;
+}
+
+/** One single-lane batched pass of @p log against @p manager. */
+sim::SimResult
+replayOnce(const tracelog::CompiledLog &log,
+           cache::CacheManager &manager)
+{
+    sim::BatchedReplay replay(log);
+    replay.addLane(manager);
+    return replay.run().front();
 }
 
 int
@@ -117,33 +139,25 @@ cmdLive(std::uint64_t seed, const std::string &path,
 }
 
 int
-cmdReplay(const std::string &path, double capacity_kb, bool compiled)
+cmdReplay(const std::string &path, double capacity_kb)
 {
     tracelog::AccessLog log = tracelog::loadLog(path);
     log.validate();
+    tracelog::CompiledLog compiled = tracelog::CompiledLog::compile(log);
     std::uint64_t capacity = 0;
     if (capacity_kb <= 0.0) {
         // Default: the paper's 50%-of-maxCache pressure point.
         cache::UnifiedCacheManager unbounded(0);
-        sim::CacheSimulator pre(unbounded);
-        sim::SimResult first = pre.run(log);
+        sim::SimResult first = replayOnce(compiled, unbounded);
         capacity = std::max<std::uint64_t>(4096, first.peakBytes / 2);
     } else {
         capacity = static_cast<std::uint64_t>(capacity_kb * 1024.0);
     }
 
     cache::UnifiedCacheManager manager(capacity);
-    sim::CacheSimulator simulator(manager);
-    sim::SimResult result;
-    if (compiled) {
-        tracelog::CompiledLog fast = tracelog::CompiledLog::compile(log);
-        result = simulator.run(fast);
-    } else {
-        result = simulator.run(log);
-    }
-    std::printf("replayed '%s' against %s%s\n",
-                log.benchmark().c_str(), manager.name().c_str(),
-                compiled ? " (compiled fast path)" : "");
+    sim::SimResult result = replayOnce(compiled, manager);
+    std::printf("replayed '%s' against %s\n", log.benchmark().c_str(),
+                manager.name().c_str());
     std::printf("lookups %llu, misses %llu (%s), evict+regen "
                 "overhead %s instructions\n",
                 static_cast<unsigned long long>(result.lookups),
@@ -184,13 +198,10 @@ main(int argc, char **argv)
     // Peel the options off; what remains are the positional
     // arguments, so every pre-flag invocation works unchanged.
     int binary_version = 2;
-    bool compiled = false;
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--compiled") {
-            compiled = true;
-        } else if (arg == "--format") {
+        if (arg == "--format") {
             if (i + 1 >= argc) {
                 return usage();
             }
@@ -214,17 +225,21 @@ main(int argc, char **argv)
         return cmdGenerate(args[1], args[2], binary_version);
     }
     if (command == "live" && args.size() == 3) {
-        return cmdLive(static_cast<std::uint64_t>(
-                           std::strtoull(args[1].c_str(), nullptr,
-                                         10)),
-                       args[2], binary_version);
+        std::uint64_t seed = 0;
+        if (!parseWhole(args[1], seed)) {
+            return usage();
+        }
+        return cmdLive(seed, args[2], binary_version);
     }
     if (command == "replay" &&
         (args.size() == 2 || args.size() == 3)) {
-        return cmdReplay(args[1],
-                         args.size() == 3 ? std::atof(args[2].c_str())
-                                          : 0.0,
-                         compiled);
+        double capacity_kb = 0.0;
+        if (args.size() == 3 &&
+            (!parseWhole(args[2], capacity_kb) ||
+             !std::isfinite(capacity_kb) || capacity_kb <= 0.0)) {
+            return usage();
+        }
+        return cmdReplay(args[1], capacity_kb);
     }
     if (command == "info" && args.size() == 2) {
         return cmdInfo(args[1]);

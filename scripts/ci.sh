@@ -8,11 +8,11 @@
 #      racing shared-store processes) plus the fleet_replay smoke
 #      bench — the shared code store's shard locks under real races
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-
-#      and `tiers`-labelled bit-identity tests (compiled/batched
-#      replay vs the legacy loop, predecoded front end vs legacy
-#      dispatch, tier-pipeline adapters vs the frozen pre-refactor
-#      managers — the memory-unsafe-optimization tripwires), then the
-#      rest of the suite
+#      and `tiers`-labelled bit-identity tests (the blocked batched
+#      replay vs the per-event CacheSimulator reference, predecoded
+#      front end vs legacy dispatch, tier-pipeline adapters vs the
+#      frozen pre-refactor managers — the memory-unsafe-optimization
+#      tripwires), then the rest of the suite
 #   5. smoke policy tournament (2 profiles x ~28 configurations) —
 #      the sharded multi-config replay driver end-to-end, run in the
 #      plain build and (unless --fast) again under ASan+UBSan; the
@@ -21,7 +21,8 @@
 #   6. GENCACHE_SIMD=OFF build: the scalar-only fallback must build
 #      and pass the replay bit-identity and SIMD-kernel tests
 #   7. gencheck over the example workloads — topology lints, live
-#      runs, legacy sim replays, and batched-replay end states; any
+#      runs, per-event reference sim replays, batched-replay lane end
+#      states, tier topologies and a shared-store fleet; any
 #      diagnostic of severity error (or worse) fails the pipeline
 #   8. gencheck temporal over recorded journals: record gzip and mpeg
 #      event streams with logreplay_tool, then replay them offline
@@ -31,6 +32,10 @@
 #      (ThreadPool, shared sweep/tournament state); self-skips with a
 #      notice when no clang toolchain is installed
 #  10. formatting check (no-op when clang-format is absent)
+#
+# Every ctest call that selects tests by label or name passes
+# --no-tests=error, so a renamed or deleted test cannot silently drop
+# out of its stage.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast skips the sanitizer builds (steps 3, 4, and the sanitized
@@ -64,7 +69,7 @@ if [[ $fast -eq 0 ]]; then
         -DGENCACHE_SANITIZE=thread >/tmp/gencache-tsan-configure.log
     cmake --build build-tsan -j "$jobs"
     ctest --test-dir build-tsan --output-on-failure -L tsan \
-        -j "$jobs"
+        --no-tests=error -j "$jobs"
 
     step "fleet_replay smoke bench (TSan build)"
     # The threaded leg races every process on the store's shard
@@ -77,11 +82,11 @@ if [[ $fast -eq 0 ]]; then
         >/tmp/gencache-asan-configure.log
     cmake --build build-asan -j "$jobs"
     ctest --test-dir build-asan --output-on-failure \
-        -L "replay|frontend|tiers" -j "$jobs"
+        -L "replay|frontend|tiers" --no-tests=error -j "$jobs"
 
     step "ASan+UBSan remaining test suite"
     ctest --test-dir build-asan --output-on-failure \
-        -LE "replay|frontend|tiers" -j "$jobs"
+        -LE "replay|frontend|tiers" --no-tests=error -j "$jobs"
 else
     step "skipping sanitizer builds (--fast)"
 fi
@@ -102,8 +107,8 @@ cmake -B build-nosimd -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGENCACHE_SIMD=OFF >/tmp/gencache-nosimd-configure.log
 cmake --build build-nosimd -j "$jobs"
 ctest --test-dir build-nosimd --output-on-failure \
-    -R "Simd|ReplayIdentity.BlockedKernelMatchesReferenceAcrossLaneCounts|CompiledLog" \
-    -j "$jobs"
+    -R "Simd|ReplayIdentity.*BlockedKernelMatchesReference|CompiledLog" \
+    --no-tests=error -j "$jobs"
 
 step "gencheck on example workloads"
 # gencheck exits 1 on any error-severity diagnostic (its subjects

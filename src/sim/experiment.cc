@@ -1,6 +1,9 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <cmath>
+#include <future>
+#include <iterator>
 
 #include "codecache/unified_cache.h"
 #include "sim/batched_replay.h"
@@ -82,6 +85,18 @@ ExperimentRunner::costTables() const
     return *costTables_;
 }
 
+std::vector<SimResult>
+ExperimentRunner::replayLanes(
+    const std::vector<cache::CacheManager *> &managers) const
+{
+    BatchedReplay batch(compiled());
+    batch.setCostTables(&costTables());
+    for (cache::CacheManager *manager : managers) {
+        batch.addLane(*manager);
+    }
+    return batch.run();
+}
+
 SimResult
 ExperimentRunner::runUnbounded() const
 {
@@ -92,16 +107,24 @@ ExperimentRunner::runUnbounded() const
         }
     }
     cache::UnifiedCacheManager manager(0);
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(log_);
+    SimResult result = replayLanes({&manager}).front();
     // The list cache tracks its own peak; prefer it (it includes the
-    // occupancy between simulator samples).
+    // occupancy between replay samples).
     result.peakBytes = std::max(result.peakBytes, manager.peakBytes());
     MutexLock lock(memoMutex_);
     if (!unbounded_.has_value()) {
         unbounded_ = result;
     }
     return *unbounded_;
+}
+
+std::uint64_t
+ExperimentRunner::managedCapacity() const
+{
+    return std::max<std::uint64_t>(
+        4096, static_cast<std::uint64_t>(std::llround(
+                  static_cast<double>(runUnbounded().peakBytes) *
+                  kCachePressureFactor)));
 }
 
 SimResult
@@ -119,8 +142,7 @@ ExperimentRunner::runUnified(std::uint64_t capacity_bytes) const
     }
     cache::UnifiedCacheManager manager(
         capacity_bytes, cache::LocalPolicy::PseudoCircular);
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(log_);
+    SimResult result = replayLanes({&manager}).front();
     MutexLock lock(memoMutex_);
     return unifiedByCapacity_.emplace(capacity_bytes, result)
         .first->second;
@@ -141,22 +163,19 @@ ExperimentRunner::runGenerational(std::uint64_t total_bytes,
 std::vector<SimResult>
 ExperimentRunner::runGenerationalBatch(
     std::uint64_t total_bytes,
-    const std::vector<GenerationalLayout> &layouts,
-    ReplayKernel kernel) const
+    const std::vector<GenerationalLayout> &layouts) const
 {
     std::vector<std::unique_ptr<cache::GenerationalCacheManager>>
         managers;
+    std::vector<cache::CacheManager *> lanes;
     managers.reserve(layouts.size());
-    BatchedReplay replay(compiled());
-    replay.setKernel(kernel);
-    replay.setCostTables(&costTables());
     for (const GenerationalLayout &layout : layouts) {
         managers.push_back(
             std::make_unique<cache::GenerationalCacheManager>(
                 layout.toConfig(total_bytes)));
-        replay.addLane(*managers.back());
+        lanes.push_back(managers.back().get());
     }
-    std::vector<SimResult> results = replay.run();
+    std::vector<SimResult> results = replayLanes(lanes);
     for (std::size_t i = 0; i < results.size(); ++i) {
         results[i].manager = layouts[i].label;
     }
@@ -178,19 +197,16 @@ ExperimentRunner::runTopology(std::uint64_t total_bytes,
 std::vector<SimResult>
 ExperimentRunner::runTopologyBatch(
     std::uint64_t total_bytes,
-    const std::vector<cache::TierTopology> &topologies,
-    ReplayKernel kernel) const
+    const std::vector<cache::TierTopology> &topologies) const
 {
     std::vector<std::unique_ptr<cache::TierPipeline>> managers;
+    std::vector<cache::CacheManager *> lanes;
     managers.reserve(topologies.size());
-    BatchedReplay replay(compiled());
-    replay.setKernel(kernel);
-    replay.setCostTables(&costTables());
     for (const cache::TierTopology &topology : topologies) {
         managers.push_back(topology.build(total_bytes));
-        replay.addLane(*managers.back());
+        lanes.push_back(managers.back().get());
     }
-    std::vector<SimResult> results = replay.run();
+    std::vector<SimResult> results = replayLanes(lanes);
     for (std::size_t i = 0; i < results.size(); ++i) {
         results[i].manager = topologies[i].name;
     }
@@ -207,13 +223,7 @@ ExperimentRunner::compare(const std::vector<GenerationalLayout> &layouts,
 
     comparison.unbounded = runUnbounded();
     comparison.maxCacheBytes = comparison.unbounded.peakBytes;
-    comparison.capacityBytes = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(comparison.maxCacheBytes) *
-                     kCachePressureFactor));
-    if (comparison.capacityBytes < 4096) {
-        comparison.capacityBytes = 4096;
-    }
-
+    comparison.capacityBytes = managedCapacity();
     comparison.unified = runUnified(comparison.capacityBytes);
 
     std::optional<ThreadPool> local;
@@ -222,27 +232,50 @@ ExperimentRunner::compare(const std::vector<GenerationalLayout> &layouts,
         local.emplace();
         pool = &*local;
     }
-    if (pool != nullptr && pool->size() > 1 && layouts.size() > 1) {
-        std::vector<std::future<SimResult>> futures;
-        futures.reserve(layouts.size());
-        for (const GenerationalLayout &layout : layouts) {
-            futures.push_back(pool->submit([this, &comparison,
-                                            &layout]() {
-                return runGenerational(comparison.capacityBytes,
-                                       layout);
-            }));
-        }
-        comparison.generational.reserve(layouts.size());
-        for (std::future<SimResult> &future : futures) {
-            comparison.generational.push_back(future.get());
-        }
-    } else if (!layouts.empty()) {
-        // Serial: one batched streaming pass over the compiled log
-        // covers every layout (bit-identical to per-layout runs).
-        comparison.generational =
-            runGenerationalBatch(comparison.capacityBytes, layouts);
-    }
+    const bool parallel = pool != nullptr && pool->size() > 1;
+    comparison.generational = replayInPasses(
+        layouts.size(), parallel ? 1 : layouts.size(), pool,
+        [&](std::size_t first, std::size_t last) {
+            return runGenerationalBatch(
+                comparison.capacityBytes,
+                {layouts.begin() + static_cast<std::ptrdiff_t>(first),
+                 layouts.begin() + static_cast<std::ptrdiff_t>(last)});
+        });
     return comparison;
+}
+
+std::vector<SimResult>
+replayInPasses(std::size_t lanes, std::size_t lanes_per_pass,
+               ThreadPool *pool, const LanePass &pass)
+{
+    lanes_per_pass = std::max<std::size_t>(1, lanes_per_pass);
+    if (pool != nullptr &&
+        (pool->size() <= 1 || lanes <= lanes_per_pass)) {
+        pool = nullptr;
+    }
+    std::vector<SimResult> results;
+    results.reserve(lanes);
+    auto append = [&results](std::vector<SimResult> sims) {
+        results.insert(results.end(),
+                       std::make_move_iterator(sims.begin()),
+                       std::make_move_iterator(sims.end()));
+    };
+
+    std::vector<std::future<std::vector<SimResult>>> futures;
+    for (std::size_t first = 0; first < lanes;
+         first += lanes_per_pass) {
+        const std::size_t last = std::min(lanes, first + lanes_per_pass);
+        if (pool == nullptr) {
+            append(pass(first, last));
+        } else {
+            futures.push_back(pool->submit(
+                [&pass, first, last]() { return pass(first, last); }));
+        }
+    }
+    for (std::future<std::vector<SimResult>> &future : futures) {
+        append(future.get());
+    }
+    return results;
 }
 
 } // namespace gencache::sim

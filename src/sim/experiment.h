@@ -12,18 +12,22 @@
  *     Table 2 instruction overheads (Fig 11).
  *
  * ExperimentRunner generates the benchmark's access log once, up
- * front, and every replay — unbounded, unified, generational — reads
- * that shared immutable log. All replay entry points are const and
+ * front, compiles it on first use, and every replay — unbounded,
+ * unified, generational — streams that shared immutable compiled log
+ * through sim::BatchedReplay. All replay entry points are const and
  * safe to call concurrently: each builds a private cache hierarchy,
  * so independent configurations fan out across a ThreadPool (see
- * compare() and sim::runSweep). The unbounded pre-pass and the
- * unified baselines are memoized (keyed by capacity) so repeated
- * methodology steps never replay them twice.
+ * replayInPasses()). The unbounded pre-pass and the unified baselines
+ * are memoized (keyed by capacity) so repeated methodology steps
+ * never replay them twice. runGenerational() and runTopology() keep
+ * the per-event CacheSimulator loop as the independent reference the
+ * batched engine is tested against.
  */
 
 #ifndef GENCACHE_SIM_EXPERIMENT_H
 #define GENCACHE_SIM_EXPERIMENT_H
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,6 +65,21 @@ std::vector<GenerationalLayout> paperLayouts();
 
 /** The paper's fraction of maxCache given to managed caches. */
 constexpr double kCachePressureFactor = 0.5;
+
+/** One batched pass over lanes [first, last) of a fan-out. */
+using LanePass = std::function<std::vector<SimResult>(
+    std::size_t first, std::size_t last)>;
+
+/**
+ * Replay @p lanes lanes as consecutive batched passes of at most
+ * @p lanes_per_pass lanes each: serially when @p pool is null or has
+ * a single worker, else one pool task per pass. Returns every lane's
+ * result in lane order, identical either way.
+ */
+std::vector<SimResult> replayInPasses(std::size_t lanes,
+                                      std::size_t lanes_per_pass,
+                                      ThreadPool *pool,
+                                      const LanePass &pass);
 
 /** All per-benchmark results of the §6 methodology. */
 struct BenchmarkComparison
@@ -112,43 +131,46 @@ class ExperimentRunner
     /** Step 1: unbounded replay; returns peak occupancy. Memoized. */
     SimResult runUnbounded() const;
 
+    /** Step 2's budget: kCachePressureFactor of the unbounded peak
+     *  (maxCache), at least 4 KB. */
+    std::uint64_t managedCapacity() const;
+
     /** Replay against a unified pseudo-circular cache of
      *  @p capacity_bytes. Memoized per capacity. */
     SimResult runUnified(std::uint64_t capacity_bytes) const;
 
     /** Replay against a generational hierarchy splitting
-     *  @p total_bytes per @p layout (legacy per-event path). */
+     *  @p total_bytes per @p layout through the per-event reference
+     *  loop (CacheSimulator over log()). */
     SimResult runGenerational(std::uint64_t total_bytes,
                               const GenerationalLayout &layout) const;
 
-    /** Fast path: replay every layout in @p layouts (all splitting
+    /** Replay every layout in @p layouts (all splitting
      *  @p total_bytes) in ONE streaming pass over the compiled log
-     *  (sim::BatchedReplay, @p kernel selects the inner loop).
-     *  Returns one SimResult per layout, in order, bit-identical to
-     *  runGenerational on each. */
+     *  (sim::BatchedReplay). Returns one SimResult per layout, in
+     *  order, bit-identical to runGenerational on each. */
     std::vector<SimResult> runGenerationalBatch(
         std::uint64_t total_bytes,
-        const std::vector<GenerationalLayout> &layouts,
-        ReplayKernel kernel = ReplayKernel::Blocked) const;
+        const std::vector<GenerationalLayout> &layouts) const;
 
     /** Replay against an arbitrary tier topology splitting
-     *  @p total_bytes (legacy per-event path). The result's manager
-     *  label is the topology name. */
+     *  @p total_bytes through the per-event reference loop. The
+     *  result's manager label is the topology name. */
     SimResult runTopology(std::uint64_t total_bytes,
                           const cache::TierTopology &topology) const;
 
-    /** Fast path: replay every topology in @p topologies (all over a
+    /** Replay every topology in @p topologies (all over a
      *  @p total_bytes budget) in ONE streaming pass over the compiled
      *  log. Bit-identical to runTopology on each. */
     std::vector<SimResult> runTopologyBatch(
         std::uint64_t total_bytes,
-        const std::vector<cache::TierTopology> &topologies,
-        ReplayKernel kernel = ReplayKernel::Blocked) const;
+        const std::vector<cache::TierTopology> &topologies) const;
 
-    /** The whole §6 pipeline with the given layouts. Per-layout runs
-     *  fan out across @p pool when it has more than one worker; with
-     *  no pool the environment default (GENCACHE_THREADS) decides.
-     *  Results are identical to a serial run regardless. */
+    /** The whole §6 pipeline with the given layouts. Serially, one
+     *  batched pass covers every layout; when @p pool has more than
+     *  one worker each layout is its own single-lane pass on the
+     *  pool. With no pool the environment default (GENCACHE_THREADS)
+     *  decides. Results are identical to a serial run regardless. */
     BenchmarkComparison compare(
         const std::vector<GenerationalLayout> &layouts,
         ThreadPool *pool = nullptr) const;
@@ -159,6 +181,10 @@ class ExperimentRunner
     }
 
   private:
+    /** One batched pass over compiled() with @p managers as lanes. */
+    std::vector<SimResult> replayLanes(
+        const std::vector<cache::CacheManager *> &managers) const;
+
     workload::BenchmarkProfile profile_;
     tracelog::AccessLog log_;
 

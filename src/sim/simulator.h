@@ -11,6 +11,11 @@
  * re-inserts, paying the Table 2 costs through the attached
  * OverheadAccount), module unloads force invalidations, and pin/unpin
  * events toggle undeletability.
+ *
+ * This per-event loop over the AccessLog is the library's independent
+ * reference replay. Production replays stream a CompiledLog through
+ * sim::BatchedReplay instead; the identity tests hold that engine to
+ * this loop field for field.
  */
 
 #ifndef GENCACHE_SIM_SIMULATOR_H
@@ -23,7 +28,6 @@
 
 #include "codecache/cache_manager.h"
 #include "costmodel/cost_model.h"
-#include "tracelog/compiled_log.h"
 #include "tracelog/event.h"
 
 namespace gencache::sim {
@@ -67,17 +71,6 @@ class CacheSimulator
 
     /** Replay @p log from the beginning and return the results. */
     SimResult run(const tracelog::AccessLog &log);
-
-    /**
-     * Fast path: replay a compiled log. Streams the columnar event
-     * arrays and keeps pin/regeneration state in flat vectors indexed
-     * by dense trace id — no hash lookups on the per-event path. The
-     * manager sees dense ids (its behavior depends only on id
-     * identity, so results are bit-identical to the legacy path).
-     * Requires a freshly constructed manager: its residency indexes
-     * are switched to dense storage via prepareDenseIds().
-     */
-    SimResult run(const tracelog::CompiledLog &log);
 
     /**
      * Install @p hook to run at replay phase boundaries: after every

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
+#include <memory>
 
 #include "support/format.h"
 #include "support/logging.h"
@@ -64,40 +64,61 @@ defaultSweepThresholds()
     return {1, 5, 10, 50};
 }
 
+namespace {
+
+/** A pool for @p tasks independent passes, or null when @p threads
+ *  (0 = the environment default) leaves a single worker. */
+std::unique_ptr<ThreadPool>
+passPool(std::size_t threads, std::size_t tasks)
+{
+    if (threads == 0) {
+        threads = ThreadPool::defaultThreadCount();
+    }
+    if (threads <= 1 || tasks <= 1) {
+        return nullptr;
+    }
+    return std::make_unique<ThreadPool>(std::min(threads, tasks));
+}
+
+/** Miss-rate reduction (%) of @p sim against the unified baseline's
+ *  @p unified_miss_rate; 0 when the baseline never misses. */
+double
+reductionPct(const SimResult &sim, double unified_miss_rate)
+{
+    return unified_miss_rate > 0.0
+               ? (1.0 - sim.missRate() / unified_miss_rate) * 100.0
+               : 0.0;
+}
+
+} // namespace
+
 SweepResult
 runSweep(const workload::BenchmarkProfile &profile,
          const std::vector<SweepPoint> &points,
          const std::vector<std::uint32_t> &thresholds,
-         std::size_t threads, ReplayEngine engine)
+         std::size_t threads)
 {
     ExperimentRunner runner(profile);
-    return runSweep(runner, points, thresholds, threads, engine);
+    return runSweep(runner, points, thresholds, threads);
 }
 
 SweepResult
 runSweep(const ExperimentRunner &runner,
          const std::vector<SweepPoint> &points,
          const std::vector<std::uint32_t> &thresholds,
-         std::size_t threads, ReplayEngine engine)
+         std::size_t threads)
 {
     if (points.empty() || thresholds.empty()) {
         fatal("sweep needs at least one point and one threshold");
     }
-    const workload::BenchmarkProfile &profile = runner.profile();
-    SimResult unbounded = runner.runUnbounded();
-
     SweepResult result;
-    result.benchmark = profile.name;
-    result.capacityBytes = std::max<std::uint64_t>(
-        4096, static_cast<std::uint64_t>(std::llround(
-                  static_cast<double>(unbounded.peakBytes) *
-                  kCachePressureFactor)));
+    result.benchmark = runner.profile().name;
+    result.capacityBytes = runner.managedCapacity();
+    result.unifiedMissRate =
+        runner.runUnified(result.capacityBytes).missRate();
 
-    SimResult unified = runner.runUnified(result.capacityBytes);
-    result.unifiedMissRate = unified.missRate();
-
-    // The grid, row-major. Cells are filled by index so the parallel
-    // fan-out preserves the serial cell order exactly.
+    // The grid, row-major; one batched pass per sweep point advances
+    // the point's whole threshold column.
     std::vector<GenerationalLayout> layouts;
     layouts.reserve(points.size() * thresholds.size());
     for (const SweepPoint &point : points) {
@@ -112,98 +133,26 @@ runSweep(const ExperimentRunner &runner,
         }
     }
 
-    auto to_cell = [&](std::size_t index, const SimResult &sim) {
+    std::unique_ptr<ThreadPool> pool = passPool(threads, points.size());
+    std::vector<SimResult> sims = replayInPasses(
+        layouts.size(), thresholds.size(), pool.get(),
+        [&](std::size_t first, std::size_t last) {
+            return runner.runGenerationalBatch(
+                result.capacityBytes,
+                {layouts.begin() + static_cast<std::ptrdiff_t>(first),
+                 layouts.begin() + static_cast<std::ptrdiff_t>(last)});
+        });
+
+    result.cells.reserve(sims.size());
+    for (std::size_t i = 0; i < sims.size(); ++i) {
         SweepCell cell;
-        cell.point = points[index / thresholds.size()];
-        cell.threshold = layouts[index].promotionThreshold;
-        cell.missRate = sim.missRate();
-        cell.promotions = sim.managerStats.promotions;
+        cell.point = points[i / thresholds.size()];
+        cell.threshold = layouts[i].promotionThreshold;
+        cell.missRate = sims[i].missRate();
+        cell.promotions = sims[i].managerStats.promotions;
         cell.missRateReductionPct =
-            unified.missRate() > 0.0
-                ? (1.0 - sim.missRate() / unified.missRate()) * 100.0
-                : 0.0;
-        return cell;
-    };
-
-    if (threads == 0) {
-        threads = ThreadPool::defaultThreadCount();
-    }
-
-    if (engine != ReplayEngine::Legacy) {
-        // One streaming pass per sweep point: the point's whole
-        // threshold column advances lane-by-lane through a single
-        // decode of the compiled log.
-        const ReplayKernel kernel =
-            engine == ReplayEngine::BatchedReference
-                ? ReplayKernel::Reference
-                : ReplayKernel::Blocked;
-        const std::size_t row = thresholds.size();
-        auto run_row = [&](std::size_t point_index) {
-            std::vector<GenerationalLayout> row_layouts(
-                layouts.begin() +
-                    static_cast<std::ptrdiff_t>(point_index * row),
-                layouts.begin() +
-                    static_cast<std::ptrdiff_t>((point_index + 1) *
-                                                row));
-            std::vector<SimResult> sims = runner.runGenerationalBatch(
-                result.capacityBytes, row_layouts, kernel);
-            std::vector<SweepCell> cells;
-            cells.reserve(row);
-            for (std::size_t i = 0; i < sims.size(); ++i) {
-                cells.push_back(
-                    to_cell(point_index * row + i, sims[i]));
-            }
-            return cells;
-        };
-
-        result.cells.reserve(layouts.size());
-        if (threads <= 1 || points.size() <= 1) {
-            for (std::size_t pi = 0; pi < points.size(); ++pi) {
-                std::vector<SweepCell> cells = run_row(pi);
-                result.cells.insert(result.cells.end(), cells.begin(),
-                                    cells.end());
-            }
-            return result;
-        }
-        ThreadPool pool(std::min<std::size_t>(threads, points.size()));
-        std::vector<std::future<std::vector<SweepCell>>> futures;
-        futures.reserve(points.size());
-        for (std::size_t pi = 0; pi < points.size(); ++pi) {
-            futures.push_back(
-                pool.submit([&run_row, pi]() { return run_row(pi); }));
-        }
-        for (std::future<std::vector<SweepCell>> &future : futures) {
-            std::vector<SweepCell> cells = future.get();
-            result.cells.insert(result.cells.end(), cells.begin(),
-                                cells.end());
-        }
-        return result;
-    }
-
-    auto run_cell = [&](std::size_t index) {
-        return to_cell(index, runner.runGenerational(
-                                  result.capacityBytes,
-                                  layouts[index]));
-    };
-
-    if (threads <= 1 || layouts.size() <= 1) {
-        result.cells.reserve(layouts.size());
-        for (std::size_t i = 0; i < layouts.size(); ++i) {
-            result.cells.push_back(run_cell(i));
-        }
-        return result;
-    }
-
-    ThreadPool pool(std::min<std::size_t>(threads, layouts.size()));
-    std::vector<std::future<SweepCell>> futures;
-    futures.reserve(layouts.size());
-    for (std::size_t i = 0; i < layouts.size(); ++i) {
-        futures.push_back(
-            pool.submit([&run_cell, i]() { return run_cell(i); }));
-    }
-    result.cells.reserve(layouts.size());
-    for (std::future<SweepCell> &future : futures) {
-        result.cells.push_back(future.get());
+            reductionPct(sims[i], result.unifiedMissRate);
+        result.cells.push_back(cell);
     }
     return result;
 }
@@ -231,65 +180,37 @@ runTopologySweep(const ExperimentRunner &runner,
     if (topologies.empty()) {
         fatal("topology sweep needs at least one topology");
     }
-    SimResult unbounded = runner.runUnbounded();
-
     TopologySweepResult result;
     result.benchmark = runner.profile().name;
-    result.capacityBytes = std::max<std::uint64_t>(
-        4096, static_cast<std::uint64_t>(std::llround(
-                  static_cast<double>(unbounded.peakBytes) *
-                  kCachePressureFactor)));
+    result.capacityBytes = runner.managedCapacity();
+    result.unifiedMissRate =
+        runner.runUnified(result.capacityBytes).missRate();
 
-    SimResult unified = runner.runUnified(result.capacityBytes);
-    result.unifiedMissRate = unified.missRate();
+    // Serially one pass advances every topology lane at once; on a
+    // pool each topology is its own single-lane pass.
+    std::unique_ptr<ThreadPool> pool =
+        passPool(threads, topologies.size());
+    std::vector<SimResult> sims = replayInPasses(
+        topologies.size(), pool ? 1 : topologies.size(), pool.get(),
+        [&](std::size_t first, std::size_t last) {
+            return runner.runTopologyBatch(
+                result.capacityBytes,
+                {topologies.begin() + static_cast<std::ptrdiff_t>(first),
+                 topologies.begin() +
+                     static_cast<std::ptrdiff_t>(last)});
+        });
 
-    auto to_cell = [&](const cache::TierTopology &topology,
-                       const SimResult &sim) {
+    result.cells.reserve(sims.size());
+    for (std::size_t i = 0; i < sims.size(); ++i) {
         TopologyCell cell;
-        cell.topology = topology.name;
-        cell.tierCount = topology.fractions.size();
-        cell.missRate = sim.missRate();
-        cell.promotions = sim.managerStats.promotions;
-        cell.overheadInstrs = sim.overhead.total();
+        cell.topology = topologies[i].name;
+        cell.tierCount = topologies[i].fractions.size();
+        cell.missRate = sims[i].missRate();
+        cell.promotions = sims[i].managerStats.promotions;
+        cell.overheadInstrs = sims[i].overhead.total();
         cell.missRateReductionPct =
-            unified.missRate() > 0.0
-                ? (1.0 - sim.missRate() / unified.missRate()) * 100.0
-                : 0.0;
-        return cell;
-    };
-
-    if (threads == 0) {
-        threads = ThreadPool::defaultThreadCount();
-    }
-
-    if (threads <= 1 || topologies.size() <= 1) {
-        // Serial: one streaming pass over the compiled log advances
-        // every topology lane at once.
-        std::vector<SimResult> sims = runner.runTopologyBatch(
-            result.capacityBytes, topologies);
-        result.cells.reserve(sims.size());
-        for (std::size_t i = 0; i < sims.size(); ++i) {
-            result.cells.push_back(to_cell(topologies[i], sims[i]));
-        }
-        return result;
-    }
-
-    // Parallel: one single-topology batched pass per worker task;
-    // filled by index so the cell order matches the serial path.
-    ThreadPool pool(std::min<std::size_t>(threads, topologies.size()));
-    std::vector<std::future<SimResult>> futures;
-    futures.reserve(topologies.size());
-    for (const cache::TierTopology &topology : topologies) {
-        futures.push_back(pool.submit([&runner, &result, &topology]() {
-            return runner
-                .runTopologyBatch(result.capacityBytes, {topology})
-                .front();
-        }));
-    }
-    result.cells.reserve(topologies.size());
-    for (std::size_t i = 0; i < topologies.size(); ++i) {
-        result.cells.push_back(to_cell(topologies[i],
-                                       futures[i].get()));
+            reductionPct(sims[i], result.unifiedMissRate);
+        result.cells.push_back(cell);
     }
     return result;
 }

@@ -64,47 +64,29 @@ struct SweepResult
 std::vector<SweepPoint> defaultSweepPoints();
 std::vector<std::uint32_t> defaultSweepThresholds();
 
-/** Which replay implementation drives the generational grid cells. */
-enum class ReplayEngine {
-    /** One CacheSimulator pass over the AccessLog per cell. */
-    Legacy,
-    /** One BatchedReplay pass over the CompiledLog per sweep point,
-     *  advancing the whole threshold column at once with the blocked
-     *  (chunk x lane-block) kernel. Cell results are bit-identical to
-     *  Legacy. */
-    BatchedCompiled,
-    /** The batched engine pinned to its per-event reference kernel
-     *  (the PR-3 loop) — the baseline the blocked kernel is
-     *  benchmarked against. Bit-identical results. */
-    BatchedReference,
-};
-
 /**
  * Run the sweep for @p profile: unbounded pre-pass, unified baseline
  * at half the peak, then every (point, threshold) cell.
  *
- * Grid cells are independent — each owns a private cache hierarchy
- * and replays the runner's shared immutable log — so they fan out
- * across a ThreadPool. @p threads selects the worker count: 0 obeys
- * the environment (GENCACHE_THREADS, else hardware concurrency), 1
- * forces the fully serial path, N uses N workers. With the batched
- * engine the fan-out unit is one sweep point (a threshold column);
- * with the legacy engine it is one cell. Cell results are identical
- * regardless of thread count and engine.
+ * Each sweep point's threshold column is one batched pass over the
+ * runner's shared compiled log (runGenerationalBatch). Columns are
+ * independent — each owns private cache hierarchies — so they fan
+ * out across a ThreadPool (replayInPasses). @p threads selects the
+ * worker count: 0 obeys the environment (GENCACHE_THREADS, else
+ * hardware concurrency), 1 forces the fully serial path, N uses N
+ * workers. Cell results are identical regardless of thread count.
  */
 SweepResult runSweep(const workload::BenchmarkProfile &profile,
                      const std::vector<SweepPoint> &points,
                      const std::vector<std::uint32_t> &thresholds,
-                     std::size_t threads = 0,
-                     ReplayEngine engine = ReplayEngine::BatchedCompiled);
+                     std::size_t threads = 0);
 
 /** As above, but over a caller-owned @p runner whose workload is
  *  already generated (benchmarks use this to time pure replay). */
 SweepResult runSweep(const ExperimentRunner &runner,
                      const std::vector<SweepPoint> &points,
                      const std::vector<std::uint32_t> &thresholds,
-                     std::size_t threads = 0,
-                     ReplayEngine engine = ReplayEngine::BatchedCompiled);
+                     std::size_t threads = 0);
 
 /** Result of one topology of a topology sweep. */
 struct TopologyCell
@@ -134,9 +116,10 @@ struct TopologySweepResult
  * Sweep arbitrary tier topologies (the pipeline generalization of the
  * proportion grid): unbounded pre-pass, unified baseline at half the
  * peak, then every topology in @p topologies over the same budget via
- * batched replay. @p threads fans topology chunks out across a
- * ThreadPool (0 obeys GENCACHE_THREADS); results are identical
- * regardless of thread count.
+ * batched replay: one pass over all topologies when serial, one
+ * single-topology pass per ThreadPool task when @p threads (0 obeys
+ * GENCACHE_THREADS) allows more than one worker. Results are
+ * identical regardless of thread count.
  */
 TopologySweepResult runTopologySweep(
     const ExperimentRunner &runner,

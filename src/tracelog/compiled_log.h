@@ -18,9 +18,9 @@
  *     no registry lookup at all;
  *   - per-module event-range indices for introspection and tooling.
  *
- * Compilation validates the same invariants the legacy simulator
- * checks per event (no duplicate creations, no execution of unknown
- * traces), so the fast replay paths can skip those branches.
+ * Compilation validates the same invariants the per-event reference
+ * simulator checks (no duplicate creations, no execution of unknown
+ * traces), so the batched replay engine can skip those branches.
  *
  * A CompiledLog is immutable after compile() and safe to share
  * read-only across sweep cells and worker threads.
@@ -82,7 +82,7 @@ class CompiledLog
     };
 
     /**
-     * Compile @p log. Panics (like the legacy replay loop) when a
+     * Compile @p log. Panics (like the reference replay loop) when a
      * trace is created twice or executed before creation.
      */
     static CompiledLog compile(const AccessLog &log);

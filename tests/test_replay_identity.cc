@@ -1,19 +1,30 @@
-// Bit-identity of the compiled/batched replay fast paths against the
-// legacy per-event CacheSimulator. The CompiledLog relabels traces to
-// dense ids and BatchedReplay hoists event decode out of the lane
-// loop; neither may change a single counter of any SimResult.
+// Bit-identity of the batched compiled-log replay engine against the
+// per-event CacheSimulator reference over the AccessLog. The
+// CompiledLog relabels traces to dense ids and BatchedReplay streams
+// cache-sized chunks across lane blocks with table-priced costs;
+// neither may change a single counter of any SimResult.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "codecache/generational_cache.h"
 #include "codecache/unified_cache.h"
 #include "sim/batched_replay.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "workload/profile.h"
+
+namespace gencache::workload {
+
+// Names each per-profile test instance after its profile in ctest.
+void
+PrintTo(const BenchmarkProfile &profile, std::ostream *os)
+{
+    *os << profile.name;
+}
+
+} // namespace gencache::workload
 
 namespace {
 
@@ -57,149 +68,151 @@ expectIdentical(const sim::SimResult &a, const sim::SimResult &b,
     EXPECT_EQ(a.overhead.copies, b.overhead.copies) << what;
 }
 
-std::uint64_t
-managedCapacity(const sim::ExperimentRunner &runner)
+/** @return the reference loop's result for @p manager over @p log. */
+sim::SimResult
+referenceRun(const tracelog::AccessLog &log,
+             cache::CacheManager &manager)
 {
-    std::uint64_t peak = runner.runUnbounded().peakBytes;
-    std::uint64_t capacity = static_cast<std::uint64_t>(
-        static_cast<double>(peak) * sim::kCachePressureFactor);
-    return capacity < 4096 ? 4096 : capacity;
+    sim::CacheSimulator simulator(manager);
+    return simulator.run(log);
 }
 
-// Every example workload, every sweep threshold: one batched pass
-// must reproduce the legacy per-layout replays exactly.
+// Every example workload: the baselines (the runner's single-lane
+// batched passes over the compiled log) must reproduce the per-event
+// CacheSimulator over the AccessLog field for field.
 TEST(ReplayIdentity, BatchedMatchesLegacyOnAllWorkloads)
 {
     for (const workload::BenchmarkProfile &profile :
          workload::allProfiles()) {
         sim::ExperimentRunner runner(profile);
-        std::uint64_t capacity = managedCapacity(runner);
 
-        std::vector<sim::GenerationalLayout> layouts;
-        for (std::uint32_t threshold : sim::defaultSweepThresholds()) {
-            sim::GenerationalLayout layout;
-            layout.label = "45-10-45";
-            layout.nurseryFrac = 0.45;
-            layout.probationFrac = 0.10;
-            layout.promotionThreshold = threshold;
-            layouts.push_back(layout);
-        }
+        cache::UnifiedCacheManager unboundedManager(0);
+        sim::SimResult unbounded =
+            referenceRun(runner.log(), unboundedManager);
+        unbounded.peakBytes =
+            std::max(unbounded.peakBytes, unboundedManager.peakBytes());
+        expectIdentical(unbounded, runner.runUnbounded(),
+                        profile.name + " unbounded");
 
-        std::vector<sim::SimResult> batched =
-            runner.runGenerationalBatch(capacity, layouts);
-        ASSERT_EQ(batched.size(), layouts.size());
-        for (std::size_t i = 0; i < layouts.size(); ++i) {
-            sim::SimResult legacy =
-                runner.runGenerational(capacity, layouts[i]);
-            expectIdentical(legacy, batched[i],
-                            profile.name + " thr " +
-                                std::to_string(
-                                    layouts[i].promotionThreshold));
-        }
+        const std::uint64_t capacity = runner.managedCapacity();
+        cache::UnifiedCacheManager unifiedManager(
+            capacity, cache::LocalPolicy::PseudoCircular);
+        expectIdentical(referenceRun(runner.log(), unifiedManager),
+                        runner.runUnified(capacity),
+                        profile.name + " unified");
     }
 }
 
-// The blocked (chunk x lane-block, table-priced, SIMD-classified)
-// kernel against the per-event reference kernel: every profile, lane
-// counts straddling the lane-block size (1, a partial block, exactly
-// one block, one block plus a straggler). Every SimResult field —
-// counters, manager stats, and the overhead breakdown priced by the
-// precomputed cost tables — must be bit-identical.
+// Lanes that differ in every layout parameter, at lane counts
+// straddling the second lane-block boundary: lane i runs sweep-grid
+// layout i, so every block mixes nursery/probation fractions and
+// promotion thresholds. Each lane must match its own reference run.
 TEST(ReplayIdentity, BlockedKernelMatchesReferenceAcrossLaneCounts)
 {
+    sim::ExperimentRunner runner(workload::findProfile("gzip"));
+    const std::uint64_t capacity = runner.managedCapacity();
+
+    std::vector<sim::GenerationalLayout> grid;
+    for (const sim::SweepPoint &point : sim::defaultSweepPoints()) {
+        for (std::uint32_t threshold : sim::defaultSweepThresholds()) {
+            sim::GenerationalLayout layout;
+            layout.label = "grid " + std::to_string(grid.size());
+            layout.nurseryFrac = point.nurseryFrac;
+            layout.probationFrac = point.probationFrac;
+            layout.promotionThreshold = threshold;
+            grid.push_back(std::move(layout));
+        }
+    }
+
     const std::size_t block = sim::BatchedReplay::kLaneBlock;
-    const std::size_t laneCounts[] = {1, 3, block, block + 1};
-    const std::uint32_t thresholds[] = {1, 5, 10, 50};
+    const std::size_t laneCounts[] = {2 * block - 1, 2 * block,
+                                      2 * block + 1};
+    ASSERT_GE(grid.size(), 2 * block + 1);
 
-    for (const workload::BenchmarkProfile &profile :
-         workload::allProfiles()) {
-        sim::ExperimentRunner runner(profile);
-        // Cheap capacity proxy (both kernels see the same value, so
-        // the exact pressure point is immaterial here).
-        std::uint64_t capacity = std::max<std::uint64_t>(
-            4096, static_cast<std::uint64_t>(profile.finalCacheKb) *
-                      512);
+    std::vector<sim::SimResult> reference;
+    for (std::size_t i = 0; i < 2 * block + 1; ++i) {
+        reference.push_back(runner.runGenerational(capacity, grid[i]));
+    }
 
-        for (std::size_t lanes : laneCounts) {
-            std::vector<sim::GenerationalLayout> layouts;
-            for (std::size_t i = 0; i < lanes; ++i) {
-                sim::GenerationalLayout layout;
-                layout.label = "45-10-45 thr " +
-                               std::to_string(thresholds[i % 4]);
-                layout.nurseryFrac = 0.45;
-                layout.probationFrac = 0.10;
-                layout.promotionThreshold = thresholds[i % 4];
-                layouts.push_back(std::move(layout));
-            }
-            std::vector<sim::SimResult> reference =
-                runner.runGenerationalBatch(
-                    capacity, layouts, sim::ReplayKernel::Reference);
-            std::vector<sim::SimResult> blocked =
-                runner.runGenerationalBatch(
-                    capacity, layouts, sim::ReplayKernel::Blocked);
-            ASSERT_EQ(reference.size(), lanes);
-            ASSERT_EQ(blocked.size(), lanes);
-            for (std::size_t i = 0; i < lanes; ++i) {
-                expectIdentical(reference[i], blocked[i],
-                                profile.name + " lanes " +
-                                    std::to_string(lanes) + " lane " +
-                                    std::to_string(i));
-            }
+    for (std::size_t lanes : laneCounts) {
+        std::vector<sim::GenerationalLayout> laneLayouts(
+            grid.begin(), grid.begin() + lanes);
+        std::vector<sim::SimResult> blocked =
+            runner.runGenerationalBatch(capacity, laneLayouts);
+        ASSERT_EQ(blocked.size(), lanes);
+        for (std::size_t i = 0; i < lanes; ++i) {
+            expectIdentical(reference[i], blocked[i],
+                            "lanes " + std::to_string(lanes) +
+                                " lane " + std::to_string(i));
         }
     }
 }
 
-// The single-manager compiled fast path (CacheSimulator overload).
-TEST(ReplayIdentity, CompiledSimulatorMatchesLegacyUnified)
+class ReplayIdentityByProfile
+    : public ::testing::TestWithParam<workload::BenchmarkProfile>
 {
-    sim::ExperimentRunner runner(workload::findProfile("vortex"));
-    std::uint64_t capacity = managedCapacity(runner);
+};
 
-    cache::UnifiedCacheManager legacyManager(capacity);
-    sim::CacheSimulator legacySim(legacyManager);
-    sim::SimResult legacy = legacySim.run(runner.log());
+// One profile per test instance. The blocked kernel at lane counts
+// straddling the lane-block size (1, a partial block, exactly one
+// block, one block plus a straggler) must reproduce the per-event
+// CacheSimulator over the AccessLog field for field: counters,
+// manager stats, and the overhead breakdown priced by the
+// precomputed cost tables.
+TEST_P(ReplayIdentityByProfile, BlockedKernelMatchesReference)
+{
+    const workload::BenchmarkProfile &profile = GetParam();
+    sim::ExperimentRunner runner(profile);
+    const std::uint64_t capacity = runner.managedCapacity();
 
-    cache::UnifiedCacheManager fastManager(capacity);
-    sim::CacheSimulator fastSim(fastManager);
-    sim::SimResult fast = fastSim.run(runner.compiled());
+    const std::vector<std::uint32_t> thresholds =
+        sim::defaultSweepThresholds();
+    std::vector<sim::GenerationalLayout> layouts;
+    std::vector<sim::SimResult> reference;
+    for (std::uint32_t threshold : thresholds) {
+        sim::GenerationalLayout layout;
+        layout.label = "45-10-45 thr " + std::to_string(threshold);
+        layout.nurseryFrac = 0.45;
+        layout.probationFrac = 0.10;
+        layout.promotionThreshold = threshold;
+        reference.push_back(runner.runGenerational(capacity, layout));
+        layouts.push_back(std::move(layout));
+    }
 
-    expectIdentical(legacy, fast, "unified compiled fast path");
+    const std::size_t block = sim::BatchedReplay::kLaneBlock;
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{3}, block,
+                              block + 1}) {
+        std::vector<sim::GenerationalLayout> laneLayouts;
+        for (std::size_t i = 0; i < lanes; ++i) {
+            laneLayouts.push_back(layouts[i % layouts.size()]);
+        }
+        std::vector<sim::SimResult> blocked =
+            runner.runGenerationalBatch(capacity, laneLayouts);
+        ASSERT_EQ(blocked.size(), lanes);
+        for (std::size_t i = 0; i < lanes; ++i) {
+            expectIdentical(reference[i % layouts.size()], blocked[i],
+                            profile.name + " lanes " +
+                                std::to_string(lanes) + " lane " +
+                                std::to_string(i));
+        }
+    }
 }
 
-TEST(ReplayIdentity, CompiledSimulatorMatchesLegacyGenerational)
-{
-    sim::ExperimentRunner runner(workload::findProfile("crafty"));
-    std::uint64_t capacity = managedCapacity(runner);
-    cache::GenerationalConfig config =
-        cache::GenerationalConfig::fromProportions(capacity, 0.45,
-                                                   0.10, 1);
+INSTANTIATE_TEST_SUITE_P(AllProfiles, ReplayIdentityByProfile,
+                         ::testing::ValuesIn(workload::allProfiles()));
 
-    cache::GenerationalCacheManager legacyManager(config);
-    sim::CacheSimulator legacySim(legacyManager);
-    sim::SimResult legacy = legacySim.run(runner.log());
-
-    cache::GenerationalCacheManager fastManager(config);
-    sim::CacheSimulator fastSim(fastManager);
-    sim::SimResult fast = fastSim.run(runner.compiled());
-
-    expectIdentical(legacy, fast, "generational compiled fast path");
-}
-
-// Whole-sweep equivalence of the two engines, serial and threaded.
+// Whole-sweep equivalence: the serial and threaded batched sweeps
+// against one reference replay per cell.
 TEST(ReplayIdentity, SweepEnginesProduceIdenticalCells)
 {
-    workload::BenchmarkProfile profile = workload::findProfile("gcc");
+    sim::ExperimentRunner runner(workload::findProfile("gcc"));
     auto points = sim::defaultSweepPoints();
     auto thresholds = sim::defaultSweepThresholds();
 
-    sim::SweepResult legacy = sim::runSweep(
-        profile, points, thresholds, 1, sim::ReplayEngine::Legacy);
-    sim::SweepResult batchedSerial =
-        sim::runSweep(profile, points, thresholds, 1,
-                      sim::ReplayEngine::BatchedCompiled);
-    sim::SweepResult batchedThreaded =
-        sim::runSweep(profile, points, thresholds, 4,
-                      sim::ReplayEngine::BatchedCompiled);
+    sim::SweepResult serial = sim::runSweep(runner, points, thresholds, 1);
+    sim::SweepResult threaded =
+        sim::runSweep(runner, points, thresholds, 4);
+    ASSERT_EQ(serial.cells.size(), points.size() * thresholds.size());
 
     auto expect_cells = [&](const sim::SweepResult &a,
                             const sim::SweepResult &b) {
@@ -219,8 +232,57 @@ TEST(ReplayIdentity, SweepEnginesProduceIdenticalCells)
                 << "cell " << i;
         }
     };
-    expect_cells(legacy, batchedSerial);
-    expect_cells(legacy, batchedThreaded);
+    expect_cells(serial, threaded);
+
+    for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+        const sim::SweepCell &cell = serial.cells[i];
+        sim::GenerationalLayout layout;
+        layout.nurseryFrac = cell.point.nurseryFrac;
+        layout.probationFrac = cell.point.probationFrac;
+        layout.promotionThreshold = cell.threshold;
+        sim::SimResult reference =
+            runner.runGenerational(serial.capacityBytes, layout);
+        EXPECT_EQ(reference.missRate(), cell.missRate) << "cell " << i;
+        EXPECT_EQ(reference.managerStats.promotions, cell.promotions)
+            << "cell " << i;
+    }
+}
+
+/** A five-event log: enough for a replay to start. */
+tracelog::CompiledLog
+tinyCompiledLog()
+{
+    tracelog::AccessLog log;
+    log.setBenchmark("tiny");
+    log.append(tracelog::Event::traceCreate(0, 1, 64, cache::kNoModule));
+    log.append(tracelog::Event::traceExec(1, 1));
+    log.append(tracelog::Event::traceCreate(2, 2, 64, cache::kNoModule));
+    log.append(tracelog::Event::traceExec(3, 2));
+    log.append(tracelog::Event::traceExec(4, 1));
+    log.setDuration(5);
+    return tracelog::CompiledLog::compile(log);
+}
+
+// A replay starts once: replaying again would run over managers the
+// first pass already mutated.
+TEST(BatchedReplayDeathTest, SecondRunPanics)
+{
+    tracelog::CompiledLog log = tinyCompiledLog();
+    cache::UnifiedCacheManager manager(4096);
+    sim::BatchedReplay replay(log);
+    replay.addLane(manager);
+    replay.run();
+    EXPECT_DEATH(replay.run(), "replay already started");
+}
+
+TEST(BatchedReplayDeathTest, RunAfterBeginPanics)
+{
+    tracelog::CompiledLog log = tinyCompiledLog();
+    cache::UnifiedCacheManager manager(4096);
+    sim::BatchedReplay replay(log);
+    replay.addLane(manager);
+    replay.begin();
+    EXPECT_DEATH(replay.run(), "replay already started");
 }
 
 } // namespace

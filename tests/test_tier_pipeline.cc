@@ -39,6 +39,17 @@
 #include "workload/generator.h"
 #include "workload/profile.h"
 
+namespace gencache::workload {
+
+// Names each per-profile test instance after its profile in ctest.
+void
+PrintTo(const BenchmarkProfile &profile, std::ostream *os)
+{
+    *os << profile.name;
+}
+
+} // namespace gencache::workload
+
 namespace {
 
 using namespace gencache;
@@ -89,53 +100,58 @@ expectIdentical(const sim::SimResult &a, const sim::SimResult &b,
     EXPECT_EQ(a.overhead.copies, b.overhead.copies) << what;
 }
 
-// Every replay profile, one streaming pass: a frozen reference lane
-// and its pipeline re-expression lane must report identical results —
-// generational (plain and eager) and unified alike.
-TEST(TierEquivalence, SimResultsBitIdenticalOnAllProfiles)
+class TierEquivalenceByProfile
+    : public ::testing::TestWithParam<workload::BenchmarkProfile>
 {
-    for (const workload::BenchmarkProfile &profile :
-         workload::allProfiles()) {
-        tracelog::AccessLog log = workload::generateWorkload(profile);
-        tracelog::CompiledLog compiled =
-            tracelog::CompiledLog::compile(log);
-        std::uint64_t capacity = profileCapacity(profile);
+};
 
-        cache::GenerationalConfig plain =
-            cache::GenerationalConfig::fromProportions(
-                capacity, 0.45, 0.10, /*threshold=*/1);
-        cache::GenerationalConfig eager =
-            cache::GenerationalConfig::fromProportions(
-                capacity, 1.0 / 3.0, 1.0 / 3.0, /*threshold=*/2,
-                /*eager=*/true);
+// One replay profile per test instance, one streaming pass: a frozen
+// reference lane and its pipeline re-expression lane must report
+// identical results — generational (plain and eager) and unified
+// alike.
+TEST_P(TierEquivalenceByProfile, SimResultsBitIdentical)
+{
+    const workload::BenchmarkProfile &profile = GetParam();
+    tracelog::AccessLog log = workload::generateWorkload(profile);
+    tracelog::CompiledLog compiled = tracelog::CompiledLog::compile(log);
+    std::uint64_t capacity = profileCapacity(profile);
 
-        cache::reference::ReferenceGenerationalManager refPlain(plain);
-        cache::GenerationalCacheManager newPlain(plain);
-        cache::reference::ReferenceGenerationalManager refEager(eager);
-        cache::GenerationalCacheManager newEager(eager);
-        cache::reference::ReferenceUnifiedManager refUnified(capacity);
-        cache::UnifiedCacheManager newUnified(capacity);
+    cache::GenerationalConfig plain =
+        cache::GenerationalConfig::fromProportions(
+            capacity, 0.45, 0.10, /*threshold=*/1);
+    cache::GenerationalConfig eager =
+        cache::GenerationalConfig::fromProportions(
+            capacity, 1.0 / 3.0, 1.0 / 3.0, /*threshold=*/2,
+            /*eager=*/true);
 
-        sim::BatchedReplay replay(compiled);
-        replay.addLane(refPlain);
-        replay.addLane(newPlain);
-        replay.addLane(refEager);
-        replay.addLane(newEager);
-        replay.addLane(refUnified);
-        replay.addLane(newUnified);
-        std::vector<sim::SimResult> results = replay.run();
-        ASSERT_EQ(results.size(), 6u);
+    cache::reference::ReferenceGenerationalManager refPlain(plain);
+    cache::GenerationalCacheManager newPlain(plain);
+    cache::reference::ReferenceGenerationalManager refEager(eager);
+    cache::GenerationalCacheManager newEager(eager);
+    cache::reference::ReferenceUnifiedManager refUnified(capacity);
+    cache::UnifiedCacheManager newUnified(capacity);
 
-        expectIdentical(results[0], results[1],
-                        profile.name + " generational 45-10-45");
-        expectIdentical(results[2], results[3],
-                        profile.name + " generational eager");
-        expectIdentical(results[4], results[5],
-                        profile.name + " unified");
-        EXPECT_EQ(refPlain.name(), newPlain.name()) << profile.name;
-        EXPECT_EQ(refUnified.name(), newUnified.name()) << profile.name;
-    }
+    sim::BatchedReplay replay(compiled);
+    replay.addLane(refPlain);
+    replay.addLane(newPlain);
+    replay.addLane(refEager);
+    replay.addLane(newEager);
+    replay.addLane(refUnified);
+    replay.addLane(newUnified);
+    std::vector<sim::SimResult> results = replay.run();
+    ASSERT_EQ(results.size(), 6u);
+
+    expectIdentical(results[0], results[1],
+                    profile.name + " generational 45-10-45");
+    expectIdentical(results[2], results[3],
+                    profile.name + " generational eager");
+    expectIdentical(results[4], results[5], profile.name + " unified");
+    EXPECT_EQ(refPlain.name(), newPlain.name()) << profile.name;
+    EXPECT_EQ(refUnified.name(), newUnified.name()) << profile.name;
 }
+
+INSTANTIATE_TEST_SUITE_P(AllProfiles, TierEquivalenceByProfile,
+                         ::testing::ValuesIn(workload::allProfiles()));
 
 /** Records every listener callback with every field that crosses the
  *  listener interface, for exact stream comparison. */

@@ -17,7 +17,7 @@
  *    driver against one lane per standard sweep threshold; every
  *    lane's end state is checked like a sim subject. This keeps the
  *    fast replay path honest: the dense-id residency indices must
- *    leave the same self-consistent storage state the legacy loop
+ *    leave the same self-consistent storage state the reference loop
  *    does.
  *  - tier:<topology>:<profile> — the workload replayed against a
  *    named non-legacy tier topology (cache::namedTierTopologies: a
