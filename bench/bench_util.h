@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/simd.h"
@@ -213,8 +214,9 @@ class JsonArray
     std::string body_;
 };
 
-/** Best-effort git revision of the working tree; "unknown" when the
- *  binary runs outside a checkout (or git is unavailable). */
+/** Best-effort git revision of the working tree, suffixed "-dirty"
+ *  when tracked files differ from it; "unknown" when the binary runs
+ *  outside a checkout (or git is unavailable). */
 inline std::string
 gitRevision()
 {
@@ -232,12 +234,52 @@ gitRevision()
         }
     }
     ::pclose(pipe);
-    return sha.empty() ? "unknown" : sha;
+    if (sha.empty()) {
+        return "unknown";
+    }
+    if (std::system("git diff --quiet HEAD 2>/dev/null") != 0) {
+        sha += "-dirty";
+    }
+    return sha;
+}
+
+/** The CPU's "model name" from /proc/cpuinfo; "unknown" elsewhere. */
+inline std::string
+cpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) != 0) {
+            continue;
+        }
+        std::size_t colon = line.find(':');
+        if (colon != std::string::npos) {
+            std::size_t start = line.find_first_not_of(" \t", colon + 1);
+            return start == std::string::npos ? "unknown"
+                                              : line.substr(start);
+        }
+    }
+    return "unknown";
+}
+
+/** Compiler name and version the bench was built with. */
+inline std::string
+compilerVersion()
+{
+#if defined(__clang__)
+    return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    return std::string("gcc ") + __VERSION__;
+#else
+    return "unknown";
+#endif
 }
 
 /** The run-environment stamp every perf artifact carries: where the
- *  numbers came from (revision), and the two knobs that change them
- *  without a code change (worker count, SIMD dispatch). */
+ *  numbers came from (revision, host, compiler, build type), and the
+ *  two knobs that change them without a code change (worker count,
+ *  SIMD dispatch). */
 inline JsonObject
 runMetadata()
 {
@@ -247,7 +289,12 @@ runMetadata()
              static_cast<std::uint64_t>(
                  ThreadPool::defaultThreadCount()))
         .put("simd", simd::activeSimdMode())
-        .put("scale", scaleFactor());
+        .put("scale", scaleFactor())
+        .put("host_cores", static_cast<std::uint64_t>(
+                               std::thread::hardware_concurrency()))
+        .put("cpu_model", cpuModel())
+        .put("compiler", compilerVersion())
+        .put("build_type", GENCACHE_BUILD_TYPE);
     return meta;
 }
 

@@ -6,8 +6,9 @@
 # .gitignore names it explicitly and (b) the producing bench binary is
 # recorded inside the file itself ("bench": "<target>", a source file
 # bench/<target>.cc). Every committed artifact must also carry the
-# bench_util provenance stamp ("meta": git_sha/threads/simd/scale), so
-# a reviewer can tell where the numbers came from.
+# bench_util provenance stamp ("meta": git_sha/threads/simd/scale plus
+# host_cores/cpu_model/compiler/build_type), so a reviewer can tell
+# where the numbers came from.
 #
 # This script checks the mapping in both directions:
 #   tracked BENCH_*.json  -> producing bench/<target>.cc exists,
@@ -56,12 +57,14 @@ EOF
     if ! python3 - "$artifact" <<'EOF'
 import json, sys
 meta = json.load(open(sys.argv[1])).get("meta", {})
-missing = [k for k in ("git_sha", "threads", "simd", "scale")
+missing = [k for k in ("git_sha", "threads", "simd", "scale",
+                      "host_cores", "cpu_model", "compiler",
+                      "build_type")
            if k not in meta]
 sys.exit(1 if missing else 0)
 EOF
     then
-        echo "FAIL: $artifact lacks the bench_util provenance meta (git_sha/threads/simd/scale)"
+        echo "FAIL: $artifact lacks the bench_util provenance meta (git_sha/threads/simd/scale/host_cores/cpu_model/compiler/build_type)"
         fail=1
     fi
     if ! grep -qx "!$artifact" .gitignore; then

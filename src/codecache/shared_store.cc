@@ -38,6 +38,81 @@ SharedCodeStore::lockShard(const Shard &shard) const
     shard.mutex.lock();
 }
 
+// --- EntryTable ---
+
+SharedCodeStore::Entry *
+SharedCodeStore::EntryTable::find(TraceId key)
+{
+    if (size_ == 0) {
+        return nullptr;
+    }
+    for (std::size_t i = homeOf(key);; i = (i + 1) & mask_) {
+        Entry &slot = slots_[i];
+        if (slot.key == key) {
+            return &slot;
+        }
+        if (slot.key == kInvalidTrace) {
+            return nullptr;
+        }
+    }
+}
+
+const SharedCodeStore::Entry *
+SharedCodeStore::EntryTable::find(TraceId key) const
+{
+    return const_cast<EntryTable *>(this)->find(key);
+}
+
+SharedCodeStore::Entry &
+SharedCodeStore::EntryTable::insert(const Entry &entry)
+{
+    if (2 * (size_ + 1) > slots_.size()) {
+        grow();
+    }
+    std::size_t i = homeOf(entry.key);
+    while (slots_[i].key != kInvalidTrace) {
+        i = (i + 1) & mask_;
+    }
+    slots_[i] = entry;
+    ++size_;
+    return slots_[i];
+}
+
+void
+SharedCodeStore::EntryTable::erase(Entry &slot)
+{
+    // Backward-shift deletion: walk the cluster after the hole and
+    // pull back every entry whose home slot lies at or before the
+    // hole, so lookups never need tombstones.
+    std::size_t hole = static_cast<std::size_t>(&slot - slots_.data());
+    for (std::size_t i = (hole + 1) & mask_;
+         slots_[i].key != kInvalidTrace; i = (i + 1) & mask_) {
+        const std::size_t home = homeOf(slots_[i].key);
+        if (((i - home) & mask_) >= ((i - hole) & mask_)) {
+            slots_[hole] = slots_[i];
+            hole = i;
+        }
+    }
+    slots_[hole] = Entry{};
+    --size_;
+}
+
+void
+SharedCodeStore::EntryTable::grow()
+{
+    std::vector<Entry> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), Entry{});
+    mask_ = slots_.size() - 1;
+    size_ = 0;
+    for (const Entry &entry : old) {
+        if (entry.key != kInvalidTrace) {
+            insert(entry);
+        }
+    }
+}
+
+// --- SharedCodeStore ---
+
 bool
 SharedCodeStore::attachLocked(Shard &shard, Entry &entry,
                               unsigned process)
@@ -63,14 +138,17 @@ SharedCodeStore::probe(TraceId key, unsigned process)
         GENCACHE_PANIC("process index {} exceeds shared-store limit {}",
                        process, config_.processLimit);
     }
+    if (key == kInvalidTrace) {
+        GENCACHE_PANIC("cannot probe the invalid trace id");
+    }
     Shard &shard = shardFor(key);
     lockShard(shard);
     shard.stats.probes += 1;
-    auto it = shard.entries.find(key);
-    bool hit = it != shard.entries.end();
+    Entry *entry = shard.entries.find(key);
+    const bool hit = entry != nullptr;
     if (hit) {
         shard.stats.probeHits += 1;
-        attachLocked(shard, it->second, process);
+        attachLocked(shard, *entry, process);
     }
     shard.mutex.unlock();
     return hit;
@@ -91,11 +169,10 @@ SharedCodeStore::publish(TraceId key, std::uint32_t size_bytes,
     lockShard(shard);
     shard.stats.publishes += 1;
 
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
+    if (Entry *resident = shard.entries.find(key)) {
         // Deduplicated: another copy of the same canonical trace is
         // already resident; the publisher just attaches to it.
-        bool fresh = attachLocked(shard, it->second, process);
+        bool fresh = attachLocked(shard, *resident, process);
         if (!fresh) {
             shard.stats.duplicatePublishes += 1;
         }
@@ -114,32 +191,32 @@ SharedCodeStore::publish(TraceId key, std::uint32_t size_bytes,
     while (shard.usedBytes + size_bytes > shardCapacity_) {
         TraceId victim = shard.fifo.front();
         shard.fifo.pop_front();
-        auto vit = shard.entries.find(victim);
-        if (vit == shard.entries.end()) {
+        Entry *evicted = shard.entries.find(victim);
+        if (evicted == nullptr) {
             GENCACHE_PANIC("shared-store FIFO names missing entry {}",
                            victim);
         }
-        shard.usedBytes -= vit->second.sizeBytes;
-        shard.claimedBytes -= static_cast<std::uint64_t>(
-                                  vit->second.sizeBytes) *
-                              vit->second.attachCount;
+        shard.usedBytes -= evicted->sizeBytes;
+        shard.claimedBytes -=
+            static_cast<std::uint64_t>(evicted->sizeBytes) *
+            evicted->attachCount;
         shard.stats.capacityEvictions += 1;
-        shard.stats.capacityEvictedBytes += vit->second.sizeBytes;
-        shard.entries.erase(vit);
+        shard.stats.capacityEvictedBytes += evicted->sizeBytes;
+        shard.entries.erase(*evicted);
     }
 
-    Entry entry;
-    entry.key = key;
-    entry.sizeBytes = size_bytes;
-    entry.insertTick = tick_.fetch_add(1, std::memory_order_relaxed);
-    shard.entries.emplace(key, entry);
+    Entry fresh;
+    fresh.key = key;
+    fresh.sizeBytes = size_bytes;
+    fresh.insertTick = tick_.fetch_add(1, std::memory_order_relaxed);
+    Entry &entry = shard.entries.insert(fresh);
     shard.fifo.push_back(key);
     shard.usedBytes += size_bytes;
     if (shard.usedBytes > shard.peakUsedBytes) {
         shard.peakUsedBytes = shard.usedBytes;
     }
     shard.stats.inserts += 1;
-    attachLocked(shard, shard.entries.at(key), process);
+    attachLocked(shard, entry, process);
     shard.mutex.unlock();
     return PublishResult::Inserted;
 }
@@ -159,23 +236,30 @@ SharedCodeStore::invalidateModule(ModuleUid uid)
     }
     for (Shard &shard : shards_) {
         lockShard(shard);
-        for (auto it = shard.entries.begin();
-             it != shard.entries.end();) {
-            if (traceIdUid(it->first) != uid) {
-                ++it;
+        // The FIFO lists every resident key, so one pass over it both
+        // finds the module's entries and compacts the survivors in
+        // order.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < shard.fifo.size(); ++i) {
+            const TraceId key = shard.fifo[i];
+            if (traceIdUid(key) != uid) {
+                shard.fifo[kept++] = key;
                 continue;
             }
-            shard.usedBytes -= it->second.sizeBytes;
-            shard.claimedBytes -= static_cast<std::uint64_t>(
-                                      it->second.sizeBytes) *
-                                  it->second.attachCount;
+            Entry *entry = shard.entries.find(key);
+            if (entry == nullptr) {
+                GENCACHE_PANIC(
+                    "shared-store FIFO names missing entry {}", key);
+            }
+            shard.usedBytes -= entry->sizeBytes;
+            shard.claimedBytes -=
+                static_cast<std::uint64_t>(entry->sizeBytes) *
+                entry->attachCount;
             shard.stats.unmapEvictions += 1;
-            shard.stats.unmapEvictedBytes += it->second.sizeBytes;
-            it = shard.entries.erase(it);
+            shard.stats.unmapEvictedBytes += entry->sizeBytes;
+            shard.entries.erase(*entry);
         }
-        std::erase_if(shard.fifo, [&](TraceId id) {
-            return traceIdUid(id) == uid;
-        });
+        shard.fifo.resize(kept);
         shard.mutex.unlock();
     }
 }
@@ -183,9 +267,12 @@ SharedCodeStore::invalidateModule(ModuleUid uid)
 bool
 SharedCodeStore::contains(TraceId key) const
 {
+    if (key == kInvalidTrace) {
+        return false;
+    }
     const Shard &shard = shardFor(key);
     lockShard(shard);
-    bool hit = shard.entries.count(key) != 0;
+    bool hit = shard.entries.find(key) != nullptr;
     shard.mutex.unlock();
     return hit;
 }
@@ -196,7 +283,7 @@ SharedCodeStore::containsModule(ModuleUid uid) const
     for (const Shard &shard : shards_) {
         lockShard(shard);
         bool found = false;
-        for (const auto &[key, entry] : shard.entries) {
+        for (TraceId key : shard.fifo) {
             if (traceIdUid(key) == uid) {
                 found = true;
                 break;
@@ -311,9 +398,8 @@ SharedCodeStore::forEachEntry(
     for (unsigned s = 0; s < shardCount(); ++s) {
         const Shard &shard = shards_[s];
         lockShard(shard);
-        for (const auto &[key, entry] : shard.entries) {
-            fn(s, entry);
-        }
+        shard.entries.forEach(
+            [&](const Entry &entry) { fn(s, entry); });
         shard.mutex.unlock();
     }
 }
@@ -326,15 +412,18 @@ SharedCodeStore::validate() const
         lockShard(shard);
         std::uint64_t used = 0;
         std::uint64_t claimed = 0;
-        for (const auto &[key, entry] : shard.entries) {
+        const EntryTable &table = shard.entries;
+        table.forEach([&](const Entry &entry) {
+            const TraceId key = entry.key;
             if (shardOf(key, shardCount()) != s) {
                 GENCACHE_PANIC(
                     "entry {} resident in shard {} but owned by {}",
                     key, s, shardOf(key, shardCount()));
             }
-            if (entry.key != key) {
-                GENCACHE_PANIC("entry keyed {} carries key {}", key,
-                               entry.key);
+            if (table.find(key) != &entry) {
+                GENCACHE_PANIC("entry {} unreachable from its home "
+                               "slot in shard {}",
+                               key, s);
             }
             if (static_cast<unsigned>(
                     std::popcount(entry.attachedMask)) !=
@@ -351,7 +440,7 @@ SharedCodeStore::validate() const
             used += entry.sizeBytes;
             claimed += static_cast<std::uint64_t>(entry.sizeBytes) *
                        entry.attachCount;
-        }
+        });
         if (used != shard.usedBytes || claimed != shard.claimedBytes) {
             GENCACHE_PANIC(
                 "shard {} byte accounting drifted ({} used vs {}, {} "
@@ -364,11 +453,11 @@ SharedCodeStore::validate() const
         }
         if (shard.fifo.size() != shard.entries.size()) {
             GENCACHE_PANIC(
-                "shard {} FIFO tracks {} entries but map holds {}", s,
+                "shard {} FIFO tracks {} entries but table holds {}", s,
                 shard.fifo.size(), shard.entries.size());
         }
         for (TraceId id : shard.fifo) {
-            if (shard.entries.count(id) == 0) {
+            if (shard.entries.find(id) == nullptr) {
                 GENCACHE_PANIC(
                     "shard {} FIFO names non-resident entry {}", s,
                     id);

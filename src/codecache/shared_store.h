@@ -12,13 +12,18 @@
  * SharedCodeStore is that tier. It is sharded by key hash with one
  * striped lock per shard (annotated for clang's thread-safety
  * analysis), so concurrent publishes from different processes contend
- * only when they land in the same shard. Each per-process TierPipeline
- * mounts the store behind its private tiers: private capacity victims
- * that earned promotion are *published*; a second process publishing
- * or probing the same canonical key *attaches* to the existing entry
- * instead of re-inserting (the dedup that saves memory); unmapping a
- * shared DLL anywhere invalidates the module's entries for every
- * process at once (conservative, like ShareJIT's class-unload story).
+ * only when they land in the same shard. A shard keeps its entries in
+ * a flat open-addressing table (the probe is on every private miss of
+ * every process) plus a FIFO of resident keys in insertion order,
+ * which drives both capacity eviction and module invalidation.
+ *
+ * Each per-process TierPipeline mounts the store behind its private
+ * tiers: private capacity victims that earned promotion are
+ * *published*; a second process publishing or probing the same
+ * canonical key *attaches* to the existing entry instead of
+ * re-inserting (the dedup that saves memory); unmapping a shared DLL
+ * anywhere invalidates the module's entries for every process at once
+ * (conservative, like ShareJIT's class-unload story).
  *
  * The store never emits per-process cache events: from one process's
  * cost model, shared hits are just hits in Generation::Shared, and a
@@ -122,10 +127,24 @@ class SharedCodeStore
         return static_cast<unsigned>((mixed >> 32) % shard_count);
     }
 
+    /** Slot hash of @p key inside its shard's table: the home slot in
+     *  a table of n (a power of two) slots is slotHash(key) & (n - 1).
+     *  A different mix than shardOf's, whose high bits already picked
+     *  the shard. Pure function of the key (tests craft colliding
+     *  keys with it). */
+    static std::uint64_t slotHash(TraceId key)
+    {
+        key ^= key >> 33;
+        key *= 0xFF51AFD7ED558CCDull;
+        key ^= key >> 33;
+        return key;
+    }
+
     /**
      * Lookup from process @p process. On hit the process attaches to
      * the entry (it now runs the shared copy, counted once for the
-     * dedup metrics). @return true on hit.
+     * dedup metrics). @return true on hit. Panics on kInvalidTrace,
+     * as publish() does: no trace can carry that key.
      */
     bool probe(TraceId key, unsigned process);
 
@@ -178,15 +197,16 @@ class SharedCodeStore
      *  checks exactly this). */
     std::uint64_t lastInvalidationTick(ModuleUid uid) const;
 
-    /** Visit every resident entry as (shard index, entry snapshot).
-     *  Locks one shard at a time; the callback must not reenter the
+    /** Visit every resident entry as (shard index, entry snapshot),
+     *  shard by shard in no particular order within a shard. Locks
+     *  one shard at a time; the callback must not reenter the
      *  store. */
     void forEachEntry(
         const std::function<void(unsigned, const Entry &)> &fn) const;
 
     /** Internal consistency check (test support): byte accounting,
-     *  FIFO membership, and attach masks must agree. Panics on
-     *  violation. */
+     *  FIFO membership, table reachability, and attach masks must
+     *  agree. Panics on violation. */
     void validate() const;
 
   private:
@@ -205,11 +225,57 @@ class SharedCodeStore
         std::uint64_t unmapEvictedBytes = 0;
     };
 
+    /**
+     * One shard's resident entries: an open-addressing table keyed by
+     * Entry::key with linear probing over a power-of-two slot array
+     * kept at most half full, kInvalidTrace marking empty slots, and
+     * backward-shift erase (no tombstones). A probe is one hash and,
+     * almost always, one cache line.
+     */
+    class EntryTable
+    {
+      public:
+        /** @return the entry keyed @p key, or nullptr when absent.
+         *  @p key must not be kInvalidTrace. */
+        Entry *find(TraceId key);
+        const Entry *find(TraceId key) const;
+
+        /** Insert @p entry, whose key must be absent and valid.
+         *  @return the resident copy. */
+        Entry &insert(const Entry &entry);
+
+        /** Remove the resident entry @p slot (a find() result). */
+        void erase(Entry &slot);
+
+        std::size_t size() const { return size_; }
+
+        /** Visit every resident entry in slot order. */
+        template <typename Fn> void forEach(Fn &&fn) const
+        {
+            for (const Entry &slot : slots_) {
+                if (slot.key != kInvalidTrace) {
+                    fn(slot);
+                }
+            }
+        }
+
+      private:
+        std::size_t homeOf(TraceId key) const
+        {
+            return static_cast<std::size_t>(slotHash(key)) & mask_;
+        }
+
+        void grow();
+
+        std::vector<Entry> slots_;
+        std::size_t mask_ = 0;
+        std::size_t size_ = 0;
+    };
+
     struct Shard
     {
         mutable Mutex mutex;
-        std::unordered_map<TraceId, Entry> entries
-            GENCACHE_GUARDED_BY(mutex);
+        EntryTable entries GENCACHE_GUARDED_BY(mutex);
         std::deque<TraceId> fifo GENCACHE_GUARDED_BY(mutex);
         std::uint64_t usedBytes GENCACHE_GUARDED_BY(mutex) = 0;
         std::uint64_t peakUsedBytes GENCACHE_GUARDED_BY(mutex) = 0;

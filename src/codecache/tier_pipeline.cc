@@ -135,15 +135,31 @@ TierPipeline::TierPipeline(TierPipelineInit init)
     multiTier_ = specs_.size() > 1;
 }
 
+void
+TierPipeline::panicPastSharedKeyTable(TraceId id) const
+{
+    GENCACHE_PANIC("trace {} lies past the shared key table ({} keys)",
+                   id, sharedKeyCount_);
+}
+
 bool
-TierPipeline::sharedProbe(TraceId id, TimeUs now)
+TierPipeline::probeSharedStore(TraceId id)
 {
     ++sharedStats_.probes;
     if (!sharedStore_->probe(sharedKeyOf(id), sharedProcess_)) {
         return false;
     }
-    ++stats_.hits;
     ++sharedStats_.hits;
+    return true;
+}
+
+bool
+TierPipeline::sharedProbe(TraceId id, TimeUs now)
+{
+    if (!probeSharedStore(id)) {
+        return false;
+    }
+    ++stats_.hits;
     if (listener_ != nullptr && listener_->wantsHits()) {
         listener_->onHit(id, Generation::Shared, now);
     }
@@ -223,11 +239,6 @@ TierPipeline::enableFastReplay(std::uint64_t id_bound)
 {
     if (usedBytes_ != 0 || stats_.inserts != 0) {
         GENCACHE_PANIC("enableFastReplay on a non-empty pipeline");
-    }
-    if (sharedStore_ != nullptr) {
-        // The sidecar serves misses without reaching lookup(), which
-        // would silently skip every shared probe.
-        return false;
     }
     for (std::size_t i = 0; i < tiers_.size(); ++i) {
         if (tierPtrs_[i]->observesTouch()) {
@@ -477,12 +488,6 @@ TierPipeline::mountSharedStore(SharedCodeStore *store, unsigned process)
     }
     if (usedBytes_ != 0 || stats_.inserts != 0) {
         GENCACHE_PANIC("mountSharedStore on a non-empty pipeline");
-    }
-    if (fastReplayEnabled()) {
-        // The sidecar's miss path never reaches lookup(), so a fast
-        // pipeline would silently skip every shared probe.
-        GENCACHE_PANIC("mountSharedStore is incompatible with the "
-                       "fast-replay sidecar");
     }
     if (process >= store->processLimit()) {
         fatal("process index {} exceeds shared-store limit {}",

@@ -331,9 +331,9 @@ class TierPipeline : public CacheManager
     /**
      * Mount @p store as the shared tier, acting as process
      * @p process (the store's attach-mask index; unique per mounted
-     * pipeline). Requires an empty pipeline; mutually exclusive with
-     * enableFastReplay (the sidecar miss path would bypass the
-     * probe).
+     * pipeline). Requires an empty pipeline. A fast-replay pipeline
+     * may mount a store before or after enableFastReplay: the
+     * sidecar's miss path probes it through fastSharedProbe().
      */
     void mountSharedStore(SharedCodeStore *store, unsigned process);
 
@@ -361,7 +361,8 @@ class TierPipeline : public CacheManager
      * originalIds(), which must outlive the pipeline) maps them back
      * to canonical (module uid, offset) keys before any probe or
      * publish. Without a table, ids are taken as already canonical
-     * (the live-runtime case). nullptr clears.
+     * (the live-runtime case); with one, every id must lie inside it.
+     * nullptr clears.
      */
     void setSharedKeyTable(const TraceId *keys, std::uint64_t count)
     {
@@ -369,12 +370,18 @@ class TierPipeline : public CacheManager
         sharedKeyCount_ = keys == nullptr ? 0 : count;
     }
 
-    /** The shared-store key this pipeline uses for trace @p id. */
+    /** The shared-store key this pipeline uses for trace @p id.
+     *  Panics on a dense id past an installed key table: taking it
+     *  as canonical would probe or publish another trace's key. */
     TraceId sharedKeyOf(TraceId id) const
     {
-        return sharedKeys_ != nullptr && id < sharedKeyCount_
-                   ? sharedKeys_[id]
-                   : id;
+        if (sharedKeys_ == nullptr) {
+            return id;
+        }
+        if (id >= sharedKeyCount_) [[unlikely]] {
+            panicPastSharedKeyTable(id);
+        }
+        return sharedKeys_[id];
     }
 
     const SharedTierStats &sharedTierStats() const
@@ -398,6 +405,10 @@ class TierPipeline : public CacheManager
     // any policy or listener can read the count — and in bulk by
     // flushFastCounts() before external inspection, so every decision
     // and every end state is bit-identical to the slow path.
+    //
+    // A mounted shared store stays on this path: when the sidecar
+    // reports a private miss, the kernel calls fastSharedProbe()
+    // before regenerating, exactly where lookup() would probe.
 
     /** One sidecar slot: pending accessCount delta plus residency
      *  (0 = absent, else tier + 1). Sized to one aligned 8-byte load
@@ -413,9 +424,9 @@ class TierPipeline : public CacheManager
      * Requires an empty pipeline. @return false (leaving the pipeline
      * untouched) when the configuration is ineligible: a
      * touch-observing local policy (LRU/RRIP), an eager or
-     * temperature edge, a listener that wants hit/miss events, or a
-     * mounted shared store (whose probe lives on the miss path the
-     * sidecar skips).
+     * temperature edge, or a listener that wants hit/miss events.
+     * A mounted shared store does not disqualify the pipeline; the
+     * kernel probes it through fastSharedProbe() on sidecar misses.
      */
     bool enableFastReplay(std::uint64_t id_bound);
 
@@ -441,6 +452,18 @@ class TierPipeline : public CacheManager
         return t1;
     }
 
+    /** Shared-tier probe for a sidecar miss (fastProbe() returned
+     *  0). @return false when no store is mounted or the store misses
+     *  (the caller then regenerates); true on a shared hit. Counts
+     *  the probe and the hit in sharedTierStats() only; the
+     *  manager-level hit is left to noteFastLookups(), so a shared
+     *  hit must be counted there as neither a miss nor a tier hit.
+     *  lookup()'s miss path shares the same probeSharedStore(). */
+    bool fastSharedProbe(TraceId id)
+    {
+        return sharedStore_ != nullptr && probeSharedStore(id);
+    }
+
     /** Prefetch the sidecar slot of @p id. The sidecar of a large
      *  log outgrows L1/L2, so a replay kernel that knows upcoming
      *  dense ids can hide the probe's cache miss by prefetching a
@@ -451,7 +474,8 @@ class TierPipeline : public CacheManager
     }
 
     /** Fold a chunk's worth of fast-path lookups into the manager
-     *  stats (@p tier_hits holds per-tier hit tallies). */
+     *  stats (@p tier_hits holds per-tier hit tallies; lookups that
+     *  are neither misses nor tier hits were shared hits). */
     void noteFastLookups(std::uint64_t lookups, std::uint64_t misses,
                          const std::uint64_t *tier_hits)
     {
@@ -481,6 +505,16 @@ class TierPipeline : public CacheManager
 
     /** Handle a fragment evicted from @p tier for capacity. */
     void cascadeVictim(TierId tier, Fragment victim, TimeUs now);
+
+    /** sharedKeyOf()'s failure path, out of line so the hot callers
+     *  inline only the bounds test. */
+    [[noreturn]] void panicPastSharedKeyTable(TraceId id) const;
+
+    /** Probe the mounted store for @p id, counting the probe and a
+     *  hit in sharedStats_ only. Out of line so the replay kernel's
+     *  inlined miss path stays one test and one call. Only called
+     *  with sharedStore_ mounted. */
+    bool probeSharedStore(TraceId id);
 
     /** Probe the mounted shared store on a private miss. @return true
      *  on a shared hit (already counted and reported). Only called

@@ -179,10 +179,18 @@ BatchedReplay::runChunkFast(Lane &lane,
             result.peakBytes = used;
         }
     };
-    auto fast_exec = [&](std::size_t i,
-                         tracelog::DenseTraceId dense) {
+    // Forced inline: the hit path is a few instructions, and left to
+    // its heuristics GCC outlines this two-caller lambda, turning every
+    // exec event into a call.
+    auto fast_exec = [&](std::size_t i, tracelog::DenseTraceId dense)
+                         __attribute__((always_inline)) {
         const std::uint8_t tierPlusOne = pipeline.fastProbe(dense);
         if (tierPlusOne == 0) [[unlikely]] {
+            if (pipeline.fastSharedProbe(dense)) {
+                // Runs the fleet's shared copy: a hit, but in no
+                // private tier.
+                return;
+            }
             ++misses;
             const TimeUs now = times[i];
             if (pipeline.insert(dense, log_.traceSize(dense),

@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <random>
 #include <tuple>
 #include <vector>
 
@@ -156,6 +159,120 @@ TEST(FleetSharingOff, BitIdenticalToIndependentReplays)
     }
 }
 
+/** 64-bit FNV-1a over every FleetResult field the benchmark's
+ *  result digest covers (and the rest of SimResult/ManagerStats):
+ *  per-process replay results, manager and shared-tier statistics,
+ *  the store's counters, peaks and entry count. */
+std::uint64_t
+fleetDigest(const sim::FleetResult &result)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    auto add = [&hash](std::uint64_t value) {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (value >> (8 * i)) & 0xffu;
+            hash *= 1099511628211ull;
+        }
+    };
+    add(result.sharing ? 1 : 0);
+    for (const sim::FleetProcessResult &process : result.processes) {
+        const sim::SimResult &sim = process.sim;
+        for (std::uint64_t value :
+             {sim.lookups, sim.hits, sim.misses, sim.regenerations,
+              sim.peakBytes, sim.createdTraces, sim.createdBytes}) {
+            add(value);
+        }
+        const cache::ManagerStats &stats = sim.managerStats;
+        for (std::uint64_t value :
+             {stats.lookups, stats.hits, stats.misses, stats.inserts,
+              stats.insertedBytes, stats.deletions, stats.deletedBytes,
+              stats.unmapDeletions, stats.unmapDeletedBytes,
+              stats.promotions, stats.promotedBytes,
+              stats.probationRejections, stats.placementFailures}) {
+            add(value);
+        }
+        const cost::OverheadBreakdown &cost = sim.overhead;
+        for (std::uint64_t value :
+             {cost.traceGeneration, cost.contextSwitches,
+              cost.evictions, cost.promotions, cost.copies}) {
+            add(value);
+        }
+        const auto &shared = process.sharedTier;
+        for (std::uint64_t value :
+             {shared.probes, shared.hits, shared.publishes,
+              shared.publishedInserts, shared.publishedAttaches,
+              shared.publishedDuplicates, shared.publishedRejects,
+              shared.invalidationsForwarded}) {
+            add(value);
+        }
+    }
+    const cache::SharedStoreStats &store = result.storeStats;
+    for (std::uint64_t value :
+         {store.probes, store.probeHits, store.publishes, store.inserts,
+          store.attaches, store.duplicatePublishes,
+          store.rejectedPublishes, store.capacityEvictions,
+          store.capacityEvictedBytes, store.unmapEvictions,
+          store.unmapEvictedBytes, store.invalidations,
+          result.storePeakUsedBytes, result.storePeakClaimedBytes,
+          result.storeEntries}) {
+        add(value);
+    }
+    return hash;
+}
+
+TEST(FleetSharingOn, GoldenDigests)
+{
+    // Pinned round-robin results of the calm and the storm fleet, with
+    // and without the shared store. The sharing-on digests were
+    // recorded when those lanes still replayed through the per-event
+    // lookup(), so they pin the sidecar's shared probe to it; a change
+    // to the replay fast path or the store layout must leave every one
+    // of these bit-identical.
+    struct Golden
+    {
+        unsigned storms;
+        std::uint64_t seed;
+        bool sharing;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {0, 5, false, 0x0da4f606bbf3a2a2ull},
+        {0, 5, true, 0xba171b37e431e7b3ull},
+        {0, 6, false, 0x4b64ee559103f7e7ull},
+        {0, 6, true, 0x8dc8114671b99417ull},
+        {3, 5, false, 0x803d7861b62919e6ull},
+        {3, 5, true, 0x2fe0d3076edede62ull},
+        {3, 6, false, 0x1b28c653aced801cull},
+        {3, 6, true, 0xb4dce45e16b8596bull},
+    };
+    for (const Golden &golden : goldens) {
+        workload::FleetWorkloadConfig config =
+            smallFleet(golden.storms, golden.seed,
+                       golden.storms == 0 ? "office" : "storm");
+        std::vector<tracelog::CompiledLog> compiled =
+            compileFleet(config);
+
+        sim::FleetOptions options;
+        options.sharing = golden.sharing;
+        options.budgetBytes = 32 * 1024;
+        options.store.shards = 4;
+        options.store.capacityBytes = 96 * 1024;
+        sim::FleetSimulator fleet(compiled, options);
+        sim::FleetResult result = fleet.run();
+
+        SCOPED_TRACE("storms " + std::to_string(golden.storms) +
+                     " seed " + std::to_string(golden.seed) +
+                     (golden.sharing ? " shared" : " isolated"));
+        EXPECT_EQ(fleetDigest(result), golden.digest);
+        for (unsigned p = 0; p < fleet.processCount(); ++p) {
+            fleet.pipeline(p).validate();
+            if (golden.sharing) {
+                EXPECT_TRUE(fleet.pipeline(p).fastReplayEnabled())
+                    << "process " << p;
+            }
+        }
+    }
+}
+
 TEST(FleetSharingOn, RoundRobinIsDeterministic)
 {
     workload::FleetWorkloadConfig config =
@@ -254,6 +371,331 @@ TEST(SharedStoreUnmap, InvalidationSweepsEveryShard)
     analysis::DiagnosticEngine engine;
     analysis::checkSharedStore(store, 4, engine);
     EXPECT_EQ(engine.textReport(), "no diagnostics\n");
+}
+
+/**
+ * Naive SharedCodeStore written from the header contract: per shard a
+ * std::map of entries plus a std::deque FIFO, the same store-local
+ * tick, and the same counters. The differential test below drives it
+ * in lockstep with the real store.
+ */
+class NaiveStore
+{
+  public:
+    struct Entry
+    {
+        std::uint32_t sizeBytes = 0;
+        std::uint64_t attachedMask = 0;
+        std::uint32_t attachCount = 0;
+        std::uint64_t insertTick = 0;
+    };
+
+    explicit NaiveStore(const cache::SharedStoreConfig &config)
+        : shards_(config.shards),
+          shardCapacity_(config.capacityBytes / config.shards)
+    {
+    }
+
+    bool probe(cache::TraceId key, unsigned process)
+    {
+        Shard &shard = shardFor(key);
+        ++stats_.probes;
+        auto it = shard.entries.find(key);
+        if (it == shard.entries.end()) {
+            return false;
+        }
+        ++stats_.probeHits;
+        attach(shard, it->second, process);
+        return true;
+    }
+
+    SharedCodeStore::PublishResult publish(cache::TraceId key,
+                                           std::uint32_t size_bytes,
+                                           unsigned process)
+    {
+        Shard &shard = shardFor(key);
+        ++stats_.publishes;
+        auto it = shard.entries.find(key);
+        if (it != shard.entries.end()) {
+            if (attach(shard, it->second, process)) {
+                return SharedCodeStore::PublishResult::Attached;
+            }
+            ++stats_.duplicatePublishes;
+            return SharedCodeStore::PublishResult::AlreadyAttached;
+        }
+        if (size_bytes > shardCapacity_) {
+            ++stats_.rejectedPublishes;
+            return SharedCodeStore::PublishResult::Rejected;
+        }
+        while (shard.used + size_bytes > shardCapacity_) {
+            const cache::TraceId victim = shard.fifo.front();
+            shard.fifo.pop_front();
+            const Entry entry = shard.entries.at(victim);
+            shard.entries.erase(victim);
+            shard.used -= entry.sizeBytes;
+            shard.claimed -= std::uint64_t{entry.sizeBytes} *
+                             entry.attachCount;
+            ++stats_.capacityEvictions;
+            stats_.capacityEvictedBytes += entry.sizeBytes;
+        }
+        Entry &entry = shard.entries[key];
+        entry.sizeBytes = size_bytes;
+        entry.insertTick = tick_++;
+        shard.fifo.push_back(key);
+        shard.used += size_bytes;
+        shard.peakUsed = std::max(shard.peakUsed, shard.used);
+        ++stats_.inserts;
+        attach(shard, entry, process);
+        return SharedCodeStore::PublishResult::Inserted;
+    }
+
+    void invalidateModule(cache::ModuleUid uid)
+    {
+        lastInvalidation_[uid] = tick_++;
+        ++stats_.invalidations;
+        for (Shard &shard : shards_) {
+            std::deque<cache::TraceId> kept;
+            for (cache::TraceId key : shard.fifo) {
+                if (cache::traceIdUid(key) != uid) {
+                    kept.push_back(key);
+                    continue;
+                }
+                const Entry entry = shard.entries.at(key);
+                shard.entries.erase(key);
+                shard.used -= entry.sizeBytes;
+                shard.claimed -= std::uint64_t{entry.sizeBytes} *
+                                 entry.attachCount;
+                ++stats_.unmapEvictions;
+                stats_.unmapEvictedBytes += entry.sizeBytes;
+            }
+            shard.fifo = std::move(kept);
+        }
+    }
+
+    /** Compare every observable of @p store against the model. */
+    void expectMatches(const SharedCodeStore &store,
+                       const std::vector<cache::TraceId> &keys,
+                       const std::vector<cache::ModuleUid> &uids) const
+    {
+        const cache::SharedStoreStats got = store.stats();
+        EXPECT_EQ(got.probes, stats_.probes);
+        EXPECT_EQ(got.probeHits, stats_.probeHits);
+        EXPECT_EQ(got.publishes, stats_.publishes);
+        EXPECT_EQ(got.inserts, stats_.inserts);
+        EXPECT_EQ(got.attaches, stats_.attaches);
+        EXPECT_EQ(got.duplicatePublishes, stats_.duplicatePublishes);
+        EXPECT_EQ(got.rejectedPublishes, stats_.rejectedPublishes);
+        EXPECT_EQ(got.capacityEvictions, stats_.capacityEvictions);
+        EXPECT_EQ(got.capacityEvictedBytes,
+                  stats_.capacityEvictedBytes);
+        EXPECT_EQ(got.unmapEvictions, stats_.unmapEvictions);
+        EXPECT_EQ(got.unmapEvictedBytes, stats_.unmapEvictedBytes);
+        EXPECT_EQ(got.invalidations, stats_.invalidations);
+
+        std::size_t entries = 0;
+        std::uint64_t used = 0;
+        std::uint64_t claimed = 0;
+        std::uint64_t peak_used = 0;
+        std::uint64_t peak_claimed = 0;
+        for (const Shard &shard : shards_) {
+            entries += shard.entries.size();
+            used += shard.used;
+            claimed += shard.claimed;
+            peak_used += shard.peakUsed;
+            peak_claimed += shard.peakClaimed;
+        }
+        EXPECT_EQ(store.entryCount(), entries);
+        EXPECT_EQ(store.usedBytes(), used);
+        EXPECT_EQ(store.claimedBytes(), claimed);
+        EXPECT_EQ(store.peakUsedBytes(), peak_used);
+        EXPECT_EQ(store.peakClaimedBytes(), peak_claimed);
+        for (cache::TraceId key : keys) {
+            EXPECT_EQ(store.contains(key),
+                      shardFor(key).entries.count(key) != 0)
+                << "key " << key;
+        }
+        for (cache::ModuleUid uid : uids) {
+            auto it = lastInvalidation_.find(uid);
+            EXPECT_EQ(store.lastInvalidationTick(uid),
+                      it == lastInvalidation_.end() ? 0 : it->second);
+        }
+    }
+
+    /** (shard, key, size, mask, count, tick) of every entry. */
+    using Row = std::tuple<unsigned, cache::TraceId, std::uint32_t,
+                           std::uint64_t, std::uint32_t, std::uint64_t>;
+
+    std::vector<Row> rows() const
+    {
+        std::vector<Row> out;
+        for (unsigned s = 0; s < shards_.size(); ++s) {
+            for (const auto &[key, entry] : shards_[s].entries) {
+                out.emplace_back(s, key, entry.sizeBytes,
+                                 entry.attachedMask, entry.attachCount,
+                                 entry.insertTick);
+            }
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+  private:
+    struct Shard
+    {
+        std::map<cache::TraceId, Entry> entries;
+        std::deque<cache::TraceId> fifo;
+        std::uint64_t used = 0;
+        std::uint64_t peakUsed = 0;
+        std::uint64_t claimed = 0;
+        std::uint64_t peakClaimed = 0;
+    };
+
+    Shard &shardFor(cache::TraceId key)
+    {
+        return shards_[SharedCodeStore::shardOf(
+            key, static_cast<unsigned>(shards_.size()))];
+    }
+    const Shard &shardFor(cache::TraceId key) const
+    {
+        return shards_[SharedCodeStore::shardOf(
+            key, static_cast<unsigned>(shards_.size()))];
+    }
+
+    bool attach(Shard &shard, Entry &entry, unsigned process)
+    {
+        const std::uint64_t bit = 1ull << process;
+        if ((entry.attachedMask & bit) != 0) {
+            return false;
+        }
+        entry.attachedMask |= bit;
+        ++entry.attachCount;
+        shard.claimed += entry.sizeBytes;
+        shard.peakClaimed = std::max(shard.peakClaimed, shard.claimed);
+        ++stats_.attaches;
+        return true;
+    }
+
+    std::vector<Shard> shards_;
+    std::uint64_t shardCapacity_;
+    std::uint64_t tick_ = 1;
+    cache::SharedStoreStats stats_;
+    std::map<cache::ModuleUid, std::uint64_t> lastInvalidation_;
+};
+
+TEST(SharedStoreModel, MatchesNaiveModelUnderRandomTraffic)
+{
+    const std::vector<cache::ModuleUid> uids = {
+        cache::moduleUidOfName("a.dll"), cache::moduleUidOfName("b.dll"),
+        cache::moduleUidOfName("c.dll"), cache::moduleUidOfName("d.dll")};
+    // Per module: a handful of keys whose home is the last slot of
+    // every table up to 64 slots (their clusters wrap past the end,
+    // so erasing one shifts entries back across slot 0), plus
+    // ordinary keys.
+    std::vector<cache::TraceId> keys;
+    for (cache::ModuleUid uid : uids) {
+        unsigned wrapping = 0;
+        for (std::uint32_t offset = 0; wrapping < 6; offset += 16) {
+            const cache::TraceId key =
+                cache::canonicalTraceId(uid, offset);
+            if ((SharedCodeStore::slotHash(key) & 63) == 63) {
+                keys.push_back(key);
+                ++wrapping;
+            }
+        }
+        for (std::uint32_t i = 0; i < 30; ++i) {
+            keys.push_back(cache::canonicalTraceId(uid, 1 + i * 40));
+        }
+    }
+
+    for (unsigned shards : {1u, 3u, 8u}) {
+        for (std::uint64_t seed : {1u, 2u}) {
+            SCOPED_TRACE("shards " + std::to_string(shards) + " seed " +
+                         std::to_string(seed));
+            cache::SharedStoreConfig config;
+            config.shards = shards;
+            // Tight: a shard holds about ten average entries, so
+            // tables grow past their first size and publishes evict.
+            config.capacityBytes = shards * 1500ull;
+            config.processLimit = 6;
+            SharedCodeStore store(config);
+            NaiveStore model(config);
+
+            std::mt19937_64 rng(seed);
+            auto pick = [&rng](std::uint64_t n) {
+                return static_cast<std::size_t>(rng() % n);
+            };
+            for (int step = 0; step < 2500; ++step) {
+                const cache::TraceId key = keys[pick(keys.size())];
+                const unsigned process =
+                    static_cast<unsigned>(pick(config.processLimit));
+                const std::size_t op = pick(100);
+                if (op < 45) {
+                    ASSERT_EQ(store.probe(key, process),
+                              model.probe(key, process))
+                        << "step " << step;
+                } else if (op < 97) {
+                    // Mostly small traces; now and then one wider
+                    // than a whole shard.
+                    const std::uint32_t size =
+                        op == 96 ? 2000
+                                 : 16 + static_cast<std::uint32_t>(
+                                            pick(240));
+                    ASSERT_EQ(store.publish(key, size, process),
+                              model.publish(key, size, process))
+                        << "step " << step;
+                } else {
+                    const cache::ModuleUid uid = uids[pick(uids.size())];
+                    store.invalidateModule(uid);
+                    model.invalidateModule(uid);
+                }
+                store.validate();
+                model.expectMatches(store, keys, uids);
+                if (testing::Test::HasFailure()) {
+                    FAIL() << "diverged at step " << step;
+                }
+            }
+
+            std::vector<NaiveStore::Row> rows;
+            store.forEachEntry(
+                [&rows](unsigned shard,
+                        const SharedCodeStore::Entry &entry) {
+                    rows.emplace_back(shard, entry.key, entry.sizeBytes,
+                                      entry.attachedMask,
+                                      entry.attachCount,
+                                      entry.insertTick);
+                });
+            std::sort(rows.begin(), rows.end());
+            ASSERT_EQ(rows, model.rows());
+            ASSERT_GT(store.stats().capacityEvictions, 0u);
+            ASSERT_GT(store.stats().unmapEvictions, 0u);
+            ASSERT_GT(store.stats().rejectedPublishes, 0u);
+        }
+    }
+}
+
+TEST(SharedStoreDeath, ProbeOfInvalidKeyPanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SharedCodeStore store(cache::SharedStoreConfig{});
+    EXPECT_DEATH(store.probe(cache::kInvalidTrace, 0),
+                 "cannot probe the invalid trace id");
+}
+
+TEST(SharedStoreDeath, KeyPastTheSharedKeyTablePanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const cache::TierTopology *topology =
+        cache::findTierTopology("2tier");
+    ASSERT_NE(topology, nullptr);
+    std::unique_ptr<cache::TierPipeline> pipeline =
+        topology->build(64 * 1024);
+    const cache::TraceId keys[] = {
+        cache::canonicalTraceId(cache::moduleUidOfName("k.dll"), 0),
+        cache::canonicalTraceId(cache::moduleUidOfName("k.dll"), 64)};
+    pipeline->setSharedKeyTable(keys, 2);
+    EXPECT_EQ(pipeline->sharedKeyOf(1), keys[1]);
+    EXPECT_DEATH(pipeline->sharedKeyOf(2),
+                 "lies past the shared key table");
 }
 
 TEST(FleetStorm, StormFleetLeavesNoStaleEntries)
