@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI pipeline:
-#   1. plain release-with-asserts build + complete ctest suite
+#   1. plain release-with-asserts build (warnings are errors) +
+#      complete ctest suite
 #   2. the same suite again under GENCACHE_CHECK=1 (phase-boundary
 #      invariant passes active inside the runtime/simulator tests)
 #   3. ThreadSanitizer build, running the `tsan`-labelled concurrency
@@ -9,10 +10,11 @@
 #      bench — the shared code store's shard locks under real races
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-
 #      and `tiers`-labelled bit-identity tests (the blocked batched
-#      replay vs the per-event CacheSimulator reference, predecoded
-#      front end vs legacy dispatch, tier-pipeline adapters vs the
-#      frozen pre-refactor managers — the memory-unsafe-optimization
-#      tripwires), then the rest of the suite
+#      replay vs the per-event CacheSimulator reference, the runtime's
+#      front end vs its golden digests and the plain-interpreter
+#      oracle, tier-pipeline adapters vs the frozen pre-refactor
+#      managers — the memory-unsafe-optimization tripwires), then the
+#      rest of the suite
 #   5. smoke policy tournament (2 profiles x ~28 configurations) —
 #      the sharded multi-config replay driver end-to-end, run in the
 #      plain build and (unless --fast) again under ASan+UBSan; the
@@ -53,9 +55,9 @@ fi
 
 step() { echo; echo "=== ci: $* ==="; }
 
-step "plain build + full test suite"
+step "plain build (-Werror) + full test suite"
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    >/tmp/gencache-ci-configure.log
+    -DGENCACHE_WARNINGS_AS_ERRORS=ON >/tmp/gencache-ci-configure.log
 cmake --build build-ci -j "$jobs"
 ctest --test-dir build-ci --output-on-failure -j "$jobs"
 

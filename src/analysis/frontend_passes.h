@@ -8,8 +8,8 @@
  * predecoded stream), the runtime's flat dispatch table (block id ->
  * trace id), and the linker's per-trace cached successor slots
  * (direct chaining). Each mirror is redundant with a slower structure
- * that stays authoritative — module block maps, traceIdOfEntry_, the
- * link graph — so every inconsistency is a real bug (a stale patched
+ * that stays authoritative — module block maps, the live trace map,
+ * the link graph — so every inconsistency is a real bug (a stale patched
  * jump, a dispatch into a dead trace, a block id resolving to the
  * wrong code). This pass re-derives each mirror from its source:
  *

@@ -1,12 +1,12 @@
 /**
  * @file
- * Dense block index and predecoded code streams for the front-end
- * fast path.
+ * Dense block index and predecoded code streams for the runtime's
+ * front end.
  *
- * The legacy front end resolves every dispatched program counter
- * through two ordered-map lookups (module, then block) and re-walks
- * `isa::Instruction` vectors — paying an out-of-line `opcodeSize()`
- * call per instruction — every time a block executes. The BlockIndex
+ * Resolving a program counter through the address space's module and
+ * block maps costs two ordered-map lookups, and walking
+ * `isa::Instruction` vectors pays an out-of-line `opcodeSize()` call
+ * per instruction, every time a block executes. The BlockIndex
  * lowers each mapped module once, at map time, into:
  *
  *  - a *dense block id* (`BlockId`): a flat, monotonically growing

@@ -11,12 +11,13 @@ using isa::wrapSub;
 namespace {
 
 /**
- * Execute one instruction against @p state. Shared by the legacy
- * (`isa::Instruction`) and predecoded (`guest::PredecodedInst`) loops
- * so the two front ends cannot drift semantically: @p InstT only needs
- * the common operand fields, while @p addr / @p fall_through are
- * supplied by the caller (computed on the fly legacy-side, precomputed
- * fast-side).
+ * Execute one instruction against @p state. Shared by the
+ * address-resolving (`isa::Instruction`) and predecoded
+ * (`guest::PredecodedInst`) loops so the two cannot drift
+ * semantically: @p InstT only needs the common operand fields, while
+ * @p addr / @p fall_through are supplied by the caller (computed on
+ * the fly for `isa::Instruction`, precomputed in the predecoded
+ * stream).
  */
 template <typename InstT>
 inline void

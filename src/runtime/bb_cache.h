@@ -4,21 +4,20 @@
  *
  * Rather than interpreting cold code, DynamoRIO copies every executed
  * basic block into a basic-block cache before running it. We model the
- * same structure: a map from guest start address to a private copy of
- * the block, with per-module indexing so unmapped modules can be
- * invalidated, plus copy statistics for the cost accounting.
+ * same structure over the AddressSpace's dense block ids: a block is
+ * copied in on first execution and hit afterwards, a module unmap
+ * invalidates its id range, and copy statistics feed the cost
+ * accounting.
  */
 
 #ifndef GENCACHE_RUNTIME_BB_CACHE_H
 #define GENCACHE_RUNTIME_BB_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "guest/block_index.h"
-#include "guest/module.h"
-#include "isa/basic_block.h"
 
 namespace gencache::runtime {
 
@@ -31,53 +30,11 @@ struct BbCacheStats
     std::uint64_t invalidations = 0; ///< blocks dropped by unmap
 };
 
-/** Software cache of copied basic blocks. */
-class BasicBlockCache
-{
-  public:
-    BasicBlockCache() = default;
-
-    /**
-     * @return the cached copy of the block at @p addr, copying it in
-     * from @p source on first use (the returned pointer is stable
-     * until the block is invalidated).
-     */
-    const isa::BasicBlock *fetch(isa::GuestAddr addr,
-                                 const isa::BasicBlock &source,
-                                 guest::ModuleId module);
-
-    /** @return the cached copy, or nullptr when absent. */
-    const isa::BasicBlock *lookup(isa::GuestAddr addr) const;
-
-    /** Drop every block belonging to @p module. */
-    void invalidateModule(guest::ModuleId module);
-
-    /** @return number of resident blocks. */
-    std::size_t blockCount() const { return blocks_.size(); }
-
-    /** @return total bytes of resident blocks. */
-    std::uint64_t usedBytes() const { return usedBytes_; }
-
-    const BbCacheStats &stats() const { return stats_; }
-
-  private:
-    struct Entry
-    {
-        isa::BasicBlock block;
-        guest::ModuleId module = guest::kInvalidModule;
-    };
-
-    std::unordered_map<isa::GuestAddr, Entry> blocks_;
-    std::uint64_t usedBytes_ = 0;
-    BbCacheStats stats_;
-};
-
 /**
- * Flat basic-block cache for the front-end fast path. The fast path
- * executes straight from the predecoded stream, so the "copy into the
- * bb cache" is pure bookkeeping: a per-dense-block-id residency bit
- * plus the same BbCacheStats the hash-map cache keeps — which lets
- * the identity test assert stat-for-stat equality between front ends.
+ * Flat basic-block cache. The front end executes straight from the
+ * predecoded stream, so the "copy into the bb cache" is pure
+ * bookkeeping: the resident size of each dense block id (0 = not
+ * resident) plus BbCacheStats.
  */
 class DenseBlockCache
 {

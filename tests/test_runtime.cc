@@ -18,100 +18,119 @@
 namespace gencache::runtime {
 namespace {
 
-TEST(BasicBlockCache, CopiesOnceThenHits)
+TEST(DenseBlockCache, CopiesOnceThenHits)
 {
-    BasicBlockCache cache;
-    isa::BasicBlock block(0x400);
-    block.append(isa::makeNop());
-    block.append(isa::makeHalt());
-    const isa::BasicBlock *first = cache.fetch(0x400, block, 0);
-    const isa::BasicBlock *second = cache.fetch(0x400, block, 0);
-    EXPECT_EQ(first, second);
+    DenseBlockCache cache;
+    cache.ensureCapacity(4);
+    EXPECT_FALSE(cache.contains(2));
+    cache.fetch(2, 24);
+    cache.fetch(2, 24);
+    EXPECT_TRUE(cache.contains(2));
     EXPECT_EQ(cache.stats().copies, 1u);
+    EXPECT_EQ(cache.stats().copiedBytes, 24u);
     EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.usedBytes(), block.sizeBytes());
+    EXPECT_EQ(cache.blockCount(), 1u);
+    EXPECT_EQ(cache.usedBytes(), 24u);
+    EXPECT_FALSE(cache.contains(9)); // past the table: not resident
 }
 
-TEST(BasicBlockCache, InvalidateByModule)
+TEST(DenseBlockCache, InvalidateRangeDropsOnlyRange)
 {
-    BasicBlockCache cache;
-    isa::BasicBlock block(0x400);
-    block.append(isa::makeHalt());
-    isa::BasicBlock other(0x800);
-    other.append(isa::makeHalt());
-    cache.fetch(0x400, block, /*module=*/1);
-    cache.fetch(0x800, other, /*module=*/2);
-    cache.invalidateModule(1);
-    EXPECT_EQ(cache.lookup(0x400), nullptr);
-    EXPECT_NE(cache.lookup(0x800), nullptr);
+    DenseBlockCache cache;
+    cache.ensureCapacity(8);
+    cache.fetch(1, 10);
+    cache.fetch(3, 20);
+    cache.fetch(5, 40);
+    cache.invalidateRange(2, 5); // [first, last): drops 3, keeps 1, 5
+    EXPECT_TRUE(cache.contains(1));
+    EXPECT_FALSE(cache.contains(3));
+    EXPECT_TRUE(cache.contains(5));
     EXPECT_EQ(cache.stats().invalidations, 1u);
+    EXPECT_EQ(cache.blockCount(), 2u);
+    EXPECT_EQ(cache.usedBytes(), 50u);
+    // Copied bytes are cumulative; a re-fetch after the unmap copies
+    // the block in again.
+    cache.fetch(3, 20);
+    EXPECT_EQ(cache.stats().copies, 4u);
+    EXPECT_EQ(cache.stats().copiedBytes, 90u);
+    EXPECT_EQ(cache.usedBytes(), 70u);
 }
 
+// The TraceHeadTable suite keeps the head-counter contract tests of
+// the hash-map table the runtime once had; they now run on the dense
+// table, with block ids in place of guest addresses.
 TEST(TraceHeadTable, ThresholdFires)
 {
-    TraceHeadTable heads(3);
-    heads.markHead(0x400, TraceHeadKind::BackwardBranchTarget);
-    EXPECT_TRUE(heads.isHead(0x400));
-    EXPECT_FALSE(heads.recordExecution(0x400)); // 1
-    EXPECT_FALSE(heads.recordExecution(0x400)); // 2
-    EXPECT_TRUE(heads.recordExecution(0x400));  // 3: fire
-    EXPECT_FALSE(heads.recordExecution(0x400)); // only fires once
+    DenseTraceHeadTable heads(3);
+    heads.ensureCapacity(8);
+    heads.markHead(2, TraceHeadKind::BackwardBranchTarget);
+    EXPECT_TRUE(heads.isHead(2));
+    EXPECT_FALSE(heads.recordExecution(2)); // 1
+    EXPECT_FALSE(heads.recordExecution(2)); // 2
+    EXPECT_TRUE(heads.recordExecution(2));  // 3: fire
+    EXPECT_FALSE(heads.recordExecution(2)); // only fires once
 }
 
 TEST(TraceHeadTable, NonHeadsNeverFire)
 {
-    TraceHeadTable heads(1);
-    EXPECT_FALSE(heads.recordExecution(0x999));
-    EXPECT_EQ(heads.count(0x999), 0u);
+    DenseTraceHeadTable heads(1);
+    heads.ensureCapacity(8);
+    EXPECT_FALSE(heads.recordExecution(7));
+    EXPECT_EQ(heads.count(7), 0u);
+    EXPECT_EQ(heads.count(100), 0u); // past the table
 }
 
 TEST(TraceHeadTable, RemoveResets)
 {
-    TraceHeadTable heads(2);
-    heads.markHead(0x400, TraceHeadKind::TraceExit);
-    heads.recordExecution(0x400);
-    heads.remove(0x400);
-    EXPECT_FALSE(heads.isHead(0x400));
+    DenseTraceHeadTable heads(2);
+    heads.ensureCapacity(8);
+    heads.markHead(2, TraceHeadKind::TraceExit);
+    heads.recordExecution(2);
+    heads.remove(2);
+    EXPECT_FALSE(heads.isHead(2));
     // Re-detection after the trace is deleted/evicted: the head is
     // re-marked and must count up from zero to fire again.
-    heads.markHead(0x400, TraceHeadKind::TraceExit);
-    EXPECT_EQ(heads.count(0x400), 0u);
-    EXPECT_FALSE(heads.recordExecution(0x400)); // 1
-    EXPECT_TRUE(heads.recordExecution(0x400));  // 2: fires again
+    heads.markHead(2, TraceHeadKind::TraceExit);
+    EXPECT_EQ(heads.count(2), 0u);
+    EXPECT_FALSE(heads.recordExecution(2)); // 1
+    EXPECT_TRUE(heads.recordExecution(2));  // 2: fires again
 }
 
 TEST(TraceHeadTable, ThresholdMinusOneDoesNotFire)
 {
-    TraceHeadTable heads(4);
-    heads.markHead(0x400, TraceHeadKind::BackwardBranchTarget);
+    DenseTraceHeadTable heads(4);
+    heads.ensureCapacity(8);
+    heads.markHead(2, TraceHeadKind::BackwardBranchTarget);
     for (int i = 0; i < 3; ++i) {
-        EXPECT_FALSE(heads.recordExecution(0x400));
+        EXPECT_FALSE(heads.recordExecution(2));
     }
-    EXPECT_EQ(heads.count(0x400), 3u); // threshold - 1: still counting
-    EXPECT_TRUE(heads.recordExecution(0x400));
+    EXPECT_EQ(heads.count(2), 3u); // threshold - 1: still counting
+    EXPECT_TRUE(heads.recordExecution(2));
 }
 
 TEST(TraceHeadTable, RemoveNonHeadIsNoOp)
 {
-    TraceHeadTable heads(2);
-    heads.markHead(0x400, TraceHeadKind::TraceExit);
-    heads.remove(0x999); // never marked: must not disturb anything
+    DenseTraceHeadTable heads(2);
+    heads.ensureCapacity(8);
+    heads.markHead(2, TraceHeadKind::TraceExit);
+    heads.remove(7); // never marked: must not disturb anything
     EXPECT_EQ(heads.headCount(), 1u);
-    EXPECT_TRUE(heads.isHead(0x400));
-    heads.remove(0x999); // idempotent
+    EXPECT_TRUE(heads.isHead(2));
+    heads.remove(7); // idempotent
     EXPECT_EQ(heads.headCount(), 1u);
 }
 
 TEST(TraceHeadTable, RemoveRangeDropsOnlyRange)
 {
-    TraceHeadTable heads(2);
-    heads.markHead(0x400, TraceHeadKind::BackwardBranchTarget);
-    heads.markHead(0x500, TraceHeadKind::TraceExit);
-    heads.markHead(0x600, TraceHeadKind::TraceExit);
-    heads.removeRange(0x480, 0x600); // [base, end): keeps 0x400, 0x600
-    EXPECT_TRUE(heads.isHead(0x400));
-    EXPECT_FALSE(heads.isHead(0x500));
-    EXPECT_TRUE(heads.isHead(0x600));
+    DenseTraceHeadTable heads(2);
+    heads.ensureCapacity(8);
+    heads.markHead(1, TraceHeadKind::BackwardBranchTarget);
+    heads.markHead(3, TraceHeadKind::TraceExit);
+    heads.markHead(5, TraceHeadKind::TraceExit);
+    heads.removeRange(2, 5); // [first, last): keeps 1 and 5
+    EXPECT_TRUE(heads.isHead(1));
+    EXPECT_FALSE(heads.isHead(3));
+    EXPECT_TRUE(heads.isHead(5));
     EXPECT_EQ(heads.headCount(), 2u);
 }
 
